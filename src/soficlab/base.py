@@ -284,9 +284,8 @@ class CellularAutomaton:
         """Slide the rule across a word; output has length ``len - width + 1``.
 
         The result is the sequence of rule outputs on consecutive windows,
-        with no coordinate shift applied.  Use :meth:`apply_window` to track
-        absolute positions.  A word shorter than the width gives the empty
-        word.
+        with no coordinate shift applied.  A word shorter than the width
+        gives the empty word.
         """
         w = self.source.word(word)
         ranks = w.ranks()
@@ -294,11 +293,6 @@ class CellularAutomaton:
         out = tuple(self.table[self.block_rank(ranks[i:i + k])]
                     for i in range(len(ranks) - k + 1))
         return Word(self.target, out)
-
-    def apply_window(self, win: ConfigurationWindow) -> ConfigurationWindow:
-        """Apply to a pinned window.  Output occupies the positions whose
-        whole memory window lies inside the input domain."""
-        return ConfigurationWindow(win.start - self.mem_left, self.apply(win.word))
 
     def __repr__(self) -> str:
         return (f"CellularAutomaton({self.source.compact}->{self.target.compact}, "

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .base import Alphabet
 from .errors import CapExceeded, StateBlowup
-from .graph import LabeledGraph
+from .graph import LabeledGraph, refine_classes
 
 _STATE_CAP = 10 ** 6
 
@@ -75,15 +75,6 @@ class FactorialDfa:
     def defined(self, ranks, start: int = 0) -> bool:
         return self.state_after(ranks, start) != -1
 
-    def first_failure(self, ranks) -> int | None:
-        """Length of the shortest undefined prefix, or None if all defined."""
-        q = 0
-        for i, a in enumerate(ranks):
-            q = self.trans[q][a]
-            if q == -1:
-                return i + 1
-        return None
-
     def __repr__(self) -> str:
         return f"FactorialDfa({self.n_states} states over {self.alphabet.compact})"
 
@@ -132,19 +123,7 @@ def minimize(d: FactorialDfa) -> FactorialDfa:
     """
     n = d.n_states
     na = len(d.alphabet)
-    cls = [0] * n
-    nc = 1
-    while True:
-        sig: dict[tuple, int] = {}
-        new = [0] * n
-        for q in range(n):
-            key = (cls[q], tuple(cls[t] if t != -1 else -1 for t in d.trans[q]))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[q] = sig[key]
-        if len(sig) == nc:
-            break
-        cls, nc = new, len(sig)
+    cls, nc = refine_classes(d.trans)
     # quotient transitions (well defined at the fixpoint)
     qtrans = [[-1] * na for _ in range(nc)]
     for q in range(n):

@@ -311,40 +311,43 @@ def path_graph(g: LabeledGraph, k: int) -> tuple[LabeledGraph, tuple[tuple[int, 
     return LabeledGraph(balpha, len(paths), edges), blocks
 
 
+def refine_classes(trans) -> tuple[list[int], int]:
+    """Coarsest partition of the states of a partial transition table
+    (``trans[q][a]`` a state or -1) in which equivalent states have the same
+    defined symbols and move to equivalent states on each.
+
+    Moore refinement from the single all-states class.  Returns
+    (class_of_state, class_count), classes numbered by least member.
+    """
+    n = len(trans)
+    # one trailing slot so that cls[-1] reads an undefined transition as -1
+    cls = [0] * n + [-1]
+    nc = 1 if n else 0
+    while True:
+        sig: dict[tuple, int] = {}
+        new = [sig.setdefault((cls[q], tuple(cls[t] for t in row)), len(sig))
+               for q, row in enumerate(trans)]
+        if len(sig) == nc:
+            return cls[:n], nc
+        cls, nc = new + [-1], len(sig)
+
+
 def follower_reduce(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     """Merge vertices with equal follower sets (equal finite-word languages).
 
-    Requires a right-resolving graph.  Returns (graph, class_of_old_vertex).
-    On essential input the result is essential, right-resolving, and presents
+    Requires a right-resolving graph.  Returns (graph, class_of_old_vertex),
+    classes numbered by least member so vertex order is stable.  On
+    essential input the result is essential, right-resolving, and presents
     the same sequences.
     """
     if not g.is_right_resolving():
         raise ValueError("follower_reduce needs a right-resolving graph")
     n = g.n_vertices
-    na = len(g.alphabet)
-    trans = [[-1] * na for _ in range(n)]
+    trans = [[-1] * len(g.alphabet) for _ in range(n)]
     for s, d, a in g.edges:
         trans[s][a] = d
-    cls = [0] * n
-    nclasses = 1 if n else 0
-    while True:
-        sig = {}
-        newcls = [0] * n
-        for v in range(n):
-            key = (cls[v], tuple(cls[t] if t != -1 else -1 for t in trans[v]))
-            if key not in sig:
-                sig[key] = len(sig)
-            newcls[v] = sig[key]
-        if len(sig) == nclasses:
-            break
-        cls, nclasses = newcls, len(sig)
-    # renumber classes by least member so vertex order is stable
-    order = sorted(range(nclasses), key=lambda c: cls.index(c))
-    rename = {c: i for i, c in enumerate(order)}
-    cls = [rename[c] for c in cls]
-    edges = set()
-    for s, d, a in g.edges:
-        edges.add((cls[s], cls[d], a))
+    cls, nclasses = refine_classes(trans)
+    edges = {(cls[s], cls[d], a) for s, d, a in g.edges}
     names = None
     if g.vertex_names is not None:
         rep = {}

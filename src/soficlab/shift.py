@@ -5,7 +5,9 @@ subshift of finite type) or from an arbitrary labeled graph (a sofic
 subshift).  Construction eagerly canonicalizes: an essential presentation,
 a right-resolving reduced presentation, and a minimal acceptor of the block
 language are all cached on the instance, and every later query runs against
-these.  Instances are immutable.
+these.  Both derived objects come from one subset construction (Lind &
+Marcus, *Symbolic Dynamics and Coding*, 3.3-3.4), see
+:func:`determinize_minimize`.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 
 from . import dfa as _dfa
 from .base import Alphabet, CellularAutomaton, Decision, Word
+from .dfa import _STATE_CAP
 from .errors import AlphabetMismatch, EmptyShift, StateBlowup
 from .graph import (LabeledGraph, block_name, essentialize, follower_reduce,
                     path_graph)
-
-_STATE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -86,21 +87,31 @@ def sft_to_graph(spec: SftSpec, cap: int = _STATE_CAP) -> LabeledGraph:
     return LabeledGraph(spec.alphabet, len(verts), tuple(edges), names)
 
 
-def determinize_minimize(g: LabeledGraph, cap: int = _STATE_CAP) -> LabeledGraph:
-    """Right-resolving reduced presentation of the same bi-infinite language.
+def determinize_minimize(g: LabeledGraph, cap: int = _STATE_CAP
+                         ) -> tuple[LabeledGraph, _dfa.FactorialDfa]:
+    """Right-resolving reduced presentation and minimal acceptor of the same
+    bi-infinite language, from one subset construction.
 
-    Already right-resolving graphs skip the subset construction, so a
-    reduced presentation maps to itself (the operation is idempotent).
-    Vertices with equal follower languages are merged.
+    For a graph whose essential part ``ge`` is not right-resolving, the
+    subset automaton ``D`` of ``ge`` (from the set of all vertices) is built
+    once: the acceptor is ``minimize(D)`` and the presentation is the
+    follower reduction of the essential part of ``D``.  An essential part
+    that is already right-resolving is follower-reduced directly, and the
+    acceptor is minimized from the subset automaton of that reduction,
+    so a reduced presentation maps to itself (the operation is idempotent).
+    Both routes read the same language and minimization is canonical, so
+    the acceptor does not depend on the route.
     """
     ge, _ = essentialize(g)
     if ge.n_vertices == 0:
         raise EmptyShift("graph carries no bi-infinite path")
-    if not ge.is_right_resolving():
-        sub = _dfa.to_graph(_dfa.determinize(ge, cap))
-        ge, _ = essentialize(sub)
-    reduced, _ = follower_reduce(ge)
-    return reduced
+    if ge.is_right_resolving():
+        reduced, _ = follower_reduce(ge)
+        subset = _dfa.determinize(reduced, cap)
+    else:
+        subset = _dfa.determinize(ge, cap)
+        reduced, _ = follower_reduce(essentialize(_dfa.to_graph(subset))[0])
+    return reduced, _dfa.minimize(subset)
 
 
 class Shift:
@@ -119,7 +130,11 @@ class Shift:
     deterministic : LabeledGraph
         Right-resolving reduced presentation (empty for the empty shift).
     acceptor : FactorialDfa
-        Minimal acceptor of the block language, canonical form.
+        Minimal acceptor of the block language, canonical form.  It is
+        minimized from the same subset automaton that ``deterministic`` is
+        reduced from (or, for a right-resolving ``essential``, from the
+        subset automaton of ``deterministic``); see
+        :func:`determinize_minimize`.
     window : int or None
         For ``"sft"`` kind: a length w such that vertices of ``essential``
         correspond to allowed (w-1)-blocks, so each point has a unique
@@ -143,8 +158,7 @@ class Shift:
             self.acceptor = _dfa.FactorialDfa(
                 self.alphabet, ((-1,) * len(self.alphabet),))
         else:
-            self.deterministic = determinize_minimize(ge)
-            self.acceptor = _dfa.minimize(_dfa.determinize(self.deterministic))
+            self.deterministic, self.acceptor = determinize_minimize(ge)
         self.window = window
 
     @classmethod

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .base import Word
-from .entropy import block_count
+from .entropy import block_count, block_counts
 from .errors import CertificateMissing, NotMixing, WindowTooSmall
 from .props import si_certificate
 from .shift import Shift
@@ -197,7 +197,7 @@ def positivity_lower_bound(x: Shift, n_max: int = 24) -> PositivityReport:
     """Constructive positive-entropy bound: with tiles of the certificate
     stride, each complete tile carries at least two exchangeable words, so
     c_n >= 2^{#tiles}; checked exactly for all n <= n_max."""
-    counts = [block_count(x, m) for m in range(n_max + 1)]
+    counts = block_counts(x, n_max)
     d = next((m for m, c in enumerate(counts) if c >= 2), None)
     if d is None:
         raise CertificateMissing(

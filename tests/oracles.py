@@ -3,12 +3,75 @@
 Everything here favors transparency over speed: explicit word enumeration,
 per-pair set reachability, direct preimage search.  None of it shares
 algorithmic machinery with the code under test (which uses joint bitmask
-evolution, product automata, and matrix counting).
+evolution, product automata, and matrix counting).  Most oracles still read
+membership through ``x.contains_word``, that is through the minimal
+acceptor; :func:`origin_contains` reads only the description the shift was
+built from, so it also checks canonicalization itself.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from soficlab.shift import SftSpec
+
+
+def origin_contains(x, ranks) -> bool:
+    """Is the nonempty rank word ``ranks`` a block of ``x``?  Decided from
+    ``x.origin`` alone: forbidden words for an SFT, edges for a graph."""
+    if isinstance(x.origin, SftSpec):
+        return _sft_contains(x.origin, tuple(ranks))
+    return _graph_contains(x.origin, tuple(ranks))
+
+
+def _sft_contains(spec, w):
+    """No forbidden factor, and a forbidden-free extension by ``n`` symbols
+    on both sides.  ``n`` exceeds the number of (m-1)-blocks by m, so each
+    side of such an extension repeats an (m-1)-block away from ``w``, and
+    repeating the stretch between the two copies extends it forever."""
+    bad = {f.ranks() for f in spec.forbidden}
+    m = spec.window
+    keep = m - 1
+    syms = range(len(spec.alphabet))
+    if any(w[i:j] in bad for j in range(len(w) + 1) for i in range(j)):
+        return False
+    n = len(syms) ** keep + m
+    # what a further extension may read: the first and last keep symbols
+    ends = {(w[:keep], w[max(len(w) - keep, 0):])}
+    for _ in range(n):
+        nxt = set()
+        for pre, suf in ends:
+            for a in syms:
+                head, tail = (a,) + pre, (a,) + suf
+                if not any(head[:j] in bad for j in range(1, len(head) + 1)):
+                    nxt.add((head[:keep], tail[max(len(tail) - keep, 0):]))
+        ends = nxt
+    tails = {suf for _, suf in ends}
+    for _ in range(n):
+        nxt = set()
+        for suf in tails:
+            for a in syms:
+                t = suf + (a,)
+                if not any(t[len(t) - j:] in bad for j in range(1, len(t) + 1)):
+                    nxt.add(t[max(len(t) - keep, 0):])
+        tails = nxt
+    return bool(tails)
+
+
+def _graph_contains(g, w):
+    """Drop vertices without an in- or out-edge until none is left to drop,
+    then follow the word from every remaining vertex at once."""
+    alive = set(range(g.n_vertices))
+    while True:
+        inner = [(s, d) for s, d, _ in g.edges if s in alive and d in alive]
+        live = {s for s, _ in inner} & {d for _, d in inner}
+        if live == alive:
+            break
+        alive = live
+    cur = alive
+    for a in w:
+        cur = {d for s, d, b in g.edges if b == a and s in cur and d in alive}
+    return bool(cur)
 
 
 def words_up_to(x, max_len):

@@ -1,0 +1,157 @@
+"""Differential tests of canonicalization against an oracle that reads only
+``Shift.origin``: random small graphs and random forbidden-word sets."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soficlab import Alphabet, LabeledGraph, Shift, equal_shifts
+from soficlab.ca import image_presentation, random_ca
+from soficlab.cli import main
+from soficlab.dfa import determinize, minimize, word_counts
+from soficlab.graph import follower_reduce
+from soficlab.shift import sft_to_graph
+
+from oracles import origin_contains
+
+_ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
+_MAX_LEN = {2: 6, 3: 4}  # longest word checked exhaustively
+
+
+@st.composite
+def graph_shifts(draw, k=None):
+    k = k or draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.integers(0, k - 1)),
+                          min_size=n, max_size=3 * n))
+    return Shift.from_graph(LabeledGraph(_ALPHABETS[k], n, tuple(edges)))
+
+
+@st.composite
+def sft_shifts(draw, k=None):
+    k = k or draw(st.sampled_from((2, 3)))
+    longest = 4 if k == 2 else 3
+    words = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1,
+                                   max_size=longest).map(tuple),
+                          max_size=5))
+    alpha = _ALPHABETS[k]
+    return Shift.from_forbidden(alpha, [alpha.word_from_ranks(w) for w in words])
+
+
+shifts = st.one_of(graph_shifts(), sft_shifts())
+
+
+def _pair_over(k):
+    one = st.one_of(graph_shifts(k), sft_shifts(k))
+    return st.tuples(one, one)
+
+
+same_alphabet_pairs = st.sampled_from((2, 3)).flatmap(_pair_over)
+
+
+def _words(x, n):
+    return itertools.product(range(len(x.alphabet)), repeat=n)
+
+
+def _oracle_members(x, n):
+    return [w for w in _words(x, n) if origin_contains(x, w)]
+
+
+def _reshuffled(x):
+    """A graph for the same shift as ``x``: its origin graph (or the SFT's
+    block presentation) twice over, vertices reversed."""
+    g = x.origin if isinstance(x.origin, LabeledGraph) else sft_to_graph(x.origin)
+    n = g.n_vertices
+    edges = [(2 * n - 1 - s - off, 2 * n - 1 - d - off, a)
+             for off in (0, n) for s, d, a in g.edges]
+    return Shift.from_graph(LabeledGraph(g.alphabet, 2 * n, tuple(edges)))
+
+
+class TestOriginOracle:
+
+    @given(shifts)
+    @settings(max_examples=60, deadline=None)
+    def test_contains_word(self, x):
+        det = Shift.from_graph(x.deterministic)
+        for n in range(1, _MAX_LEN[len(x.alphabet)] + 1):
+            for w in _words(x, n):
+                member = origin_contains(x, w)
+                assert x.contains_word(x.alphabet.word_from_ranks(w)) == member, w
+                assert origin_contains(det, w) == member, w
+
+    @given(shifts)
+    @settings(max_examples=60, deadline=None)
+    def test_word_counts(self, x):
+        n_max = _MAX_LEN[len(x.alphabet)]
+        counts = word_counts(x.acceptor, n_max)
+        assert counts[1:] == [len(_oracle_members(x, n))
+                              for n in range(1, n_max + 1)]
+
+    @given(shifts)
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_objects(self, x):
+        assert x.acceptor == minimize(determinize(x.essential))
+        det = x.deterministic
+        assert Shift.from_graph(det).acceptor == x.acceptor
+        # right-resolving, essential and follower-separated
+        assert det.is_right_resolving()
+        assert {s for s, _, _ in det.edges} == set(range(det.n_vertices))
+        assert {d for _, d, _ in det.edges} == set(range(det.n_vertices))
+        assert follower_reduce(det)[0].n_vertices == det.n_vertices
+
+    @given(same_alphabet_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_shifts(self, pair):
+        x, y = pair
+        dec = equal_shifts(x, y)
+        n_max = _MAX_LEN[len(x.alphabet)]
+        if dec.verdict:
+            for n in range(1, n_max + 1):
+                assert _oracle_members(x, n) == _oracle_members(y, n)
+            return
+        w = dec.witness.ranks()
+        in_x, in_y = origin_contains(x, w), origin_contains(y, w)
+        assert in_x != in_y
+        assert ("first" in dec.note) == in_x
+        for n in range(1, min(len(w) - 1, n_max) + 1):
+            assert _oracle_members(x, n) == _oracle_members(y, n)
+
+    @given(shifts)
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_reshuffled_graph(self, x):
+        y = _reshuffled(x)
+        assert equal_shifts(x, y).verdict
+        for n in range(1, _MAX_LEN[len(x.alphabet)] + 1):
+            assert _oracle_members(x, n) == _oracle_members(y, n)
+
+    def test_sft_oracle_by_hand(self, golden):
+        # 11 is forbidden; every other word extends both ways
+        assert not origin_contains(golden, (1, 1))
+        assert origin_contains(golden, (1, 0, 1))
+        x = Shift.from_forbidden(_ALPHABETS[2], ["01", "10"])
+        assert origin_contains(x, (1, 1, 1))
+        assert not origin_contains(x, (0, 1))
+        # 0 is followed by a forced 1 and then a dead end
+        y = Shift.from_forbidden(_ALPHABETS[2], ["00", "11", "010"])
+        assert not origin_contains(y, (0,))
+        assert not origin_contains(y, (1,))
+        assert y.is_empty
+
+
+class TestFormerBlowups:
+    """Width-4 full-shift images whose acceptor once needed a second subset
+    construction of more than a million states."""
+
+    def test_width4_images_build(self, full2):
+        for seed, states in ((97, 255), (161, 239)):
+            t = random_ca(full2.alphabet, full2.alphabet, (0, 3), seed)
+            assert image_presentation(t, full2).acceptor.n_states == states
+
+    def test_corpus_command(self, capsys):
+        assert main(["corpus", "--shift", "full2", "--count", "5",
+                     "--seed", "95", "--memory", "0..3"]) == 0
+        out = capsys.readouterr().out
+        assert "#: summary shift=full2 kept=5 skipped=0 contradictions=0" in out
