@@ -21,7 +21,7 @@ from .dfa import shortest_missing
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import (AlphabetMismatch, NoSyncWord, NotEndomorphism,
                      NotIntoTarget, NotMixing, TableTooLarge, WordTooShort)
-from .graph import LabeledGraph, path_graph
+from .graph import LabeledGraph, core_vertices, path_graph
 from .props import is_strongly_irreducible, synchronized_cover
 from .shift import Shift, equal_shifts, language_included
 
@@ -301,31 +301,8 @@ def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
     if x.is_empty:
         return Decision(True, None, "point", note="empty domain")
     pgr = pair_graph(t, x)
-    n2 = pgr.n_pairs
-    out_deg = [0] * n2
-    in_deg = [0] * n2
-    for s, d, a, b, f in pgr.edges:
-        out_deg[s] += 1
-        in_deg[d] += 1
-    alive_edges = list(pgr.edges)
-    changed = True
-    alive = [in_deg[v] > 0 and out_deg[v] > 0 for v in range(n2)]
-    while changed:
-        changed = False
-        kept = []
-        for e in alive_edges:
-            s, d = e[0], e[1]
-            if alive[s] and alive[d]:
-                kept.append(e)
-            else:
-                changed = True
-                out_deg[s] -= 1
-                in_deg[d] -= 1
-        alive_edges = kept
-        for v in range(n2):
-            if alive[v] and (in_deg[v] == 0 or out_deg[v] == 0):
-                alive[v] = False
-                changed = True
+    alive = core_vertices(pgr.n_pairs, pgr.edges)
+    alive_edges = [e for e in pgr.edges if alive[e[0]] and alive[e[1]]]
     flagged = [e for e in alive_edges if e[4]]
     if not flagged:
         return Decision(True, None, "point")

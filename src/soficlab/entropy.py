@@ -149,9 +149,15 @@ def _component_bracket(m_rows: list[list[int]], tol: float) -> tuple[float, floa
 
 def entropy_spectral(x: Shift, tol: float = 1e-9) -> EntropyEstimate:
     """Entropy as the log of the largest Perron root over the strongly
-    connected components of the minimal automaton, certified to tol."""
+    connected components of the minimal automaton, certified to tol.
+    Memoised on ``x`` per ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return x.derived(("entropy_spectral", tol),
+                     lambda y: _entropy_spectral(y, tol))
+
+
+def _entropy_spectral(x: Shift, tol: float) -> EntropyEstimate:
     if x.is_empty:
         return EntropyEstimate(0.0, "spectral", {"degenerate": "empty"}, 0.0)
     d = x.acceptor

@@ -113,37 +113,50 @@ def subgraph(g: LabeledGraph, keep) -> tuple[LabeledGraph, list[int]]:
     return LabeledGraph(g.alphabet, len(old), edges, names), old
 
 
+def core_vertices(n: int, edges) -> list[bool]:
+    """Vertices of the largest subgraph in which every vertex has an in-
+    and an out-edge, as flags; one O(V + E) queue peel.
+
+    ``edges`` are tuples whose first two fields are source and target
+    (extra fields are ignored), so labeled and pair-graph edges both fit.
+    """
+    outdeg = [0] * n
+    indeg = [0] * n
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        s, d = e[0], e[1]
+        outdeg[s] += 1
+        indeg[d] += 1
+        out_adj[s].append(d)
+        in_adj[d].append(s)
+    dead = deque(v for v in range(n) if outdeg[v] == 0 or indeg[v] == 0)
+    alive = [True] * n
+    while dead:
+        v = dead.popleft()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        for w in out_adj[v]:
+            if alive[w]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    dead.append(w)
+        for w in in_adj[v]:
+            if alive[w]:
+                outdeg[w] -= 1
+                if outdeg[w] == 0:
+                    dead.append(w)
+    return alive
+
+
 def essentialize(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     """Largest subgraph where every vertex has an in- and an out-edge.
 
     Returns (graph, old_vertex_of_new).  The result presents the same set
     of bi-infinite label sequences; it may be empty.
     """
-    outdeg = [0] * g.n_vertices
-    indeg = [0] * g.n_vertices
-    for s, d, _ in g.edges:
-        outdeg[s] += 1
-        indeg[d] += 1
-    out_adj = g.out_map()
-    in_adj = g.in_map()
-    dead = deque(v for v in range(g.n_vertices)
-                 if outdeg[v] == 0 or indeg[v] == 0)
-    alive = [True] * g.n_vertices
-    while dead:
-        v = dead.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w, _ in out_adj[v]:
-            if alive[w]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    dead.append(w)
-        for w, _ in in_adj[v]:
-            if alive[w]:
-                outdeg[w] -= 1
-                if outdeg[w] == 0:
-                    dead.append(w)
+    alive = core_vertices(g.n_vertices, g.edges)
     return subgraph(g, [v for v in range(g.n_vertices) if alive[v]])
 
 

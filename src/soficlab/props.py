@@ -11,6 +11,13 @@ lengths; both quantifiers are made finite here.  Word pairs matter only
 through (state after u, set of states reading v), and the per-gap-length
 reachability data evolves through a finite space, so it is eventually
 periodic; detecting the cycle turns "for all N >= N0" into an exact check.
+
+Each invariant is computed once per Shift and memoised on it (see
+:meth:`Shift.derived`): the joinability data (reach closure, backward
+family, state labels), the synchronized cover, the mixing report and the
+gap certificate.  The reach closure takes one pass over the strongly
+connected components of the acceptor, sinks first; the gap evolution ORs
+successor rows, one step per gap length, and tests each distinct row once.
 """
 
 from __future__ import annotations
@@ -194,21 +201,52 @@ def _pair_gap_floor(d: FactorialDfa, s: int, r_mask: int,
     return n0, None
 
 
-def _irreducibility_data(x: Shift):
-    """Reach closure, backward family, and shortest state labels."""
-    d = x.acceptor
-    post_all = _post_all_masks(d)
-    reach = []  # reflexive-transitive closure, bitmask per state
-    for s in range(d.n_states):
-        m = 1 << s
-        while True:
-            nm = m | _step_mask(m, post_all)
-            if nm == m:
-                break
-            m = nm
-        reach.append(m)
-    fam = [(sum(1 << q for q in fs), v) for fs, v in backward_subsets(d)]
-    return d, reach, fam
+class _Joinability:
+    """Per-shift data behind every "does some word join u to v" question.
+
+    ``reach[s]`` is the reflexive-transitive closure of the acceptor from
+    state s, as a bitmask, computed in one pass over the condensation;
+    ``family`` pairs each backward reading set (as a bitmask) with its
+    shortest representative word; ``labels[s]`` is the shortest word
+    reaching s.  :meth:`miss` answers "which backward set does this mask
+    miss" once per distinct mask.
+    """
+
+    __slots__ = ("reach", "family", "labels", "_misses")
+
+    def __init__(self, x: Shift):
+        d = x.acceptor
+        # components come sinks first, so every successor outside a
+        # component already has its reach when the component is closed
+        reach = [0] * d.n_states
+        for comp in strongly_connected_components(to_graph(d)):
+            m = 0
+            for q in comp:
+                m |= 1 << q
+            for q in comp:
+                for t in d.trans[q]:
+                    if t != -1:
+                        m |= reach[t]
+            for q in comp:
+                reach[q] = m
+        self.reach = reach
+        self.family = [(sum(1 << q for q in fs), v)
+                       for fs, v in backward_subsets(d)]
+        self.labels = _shortest_words_to_states(d)
+        self._misses: dict[int, tuple[int, ...] | None] = {}
+
+    def miss(self, mask: int) -> tuple[int, ...] | None:
+        """Representative word of the first backward set (family order)
+        disjoint from ``mask``, or None when ``mask`` meets every one."""
+        misses = self._misses
+        if mask not in misses:
+            misses[mask] = next((v for r_mask, v in self.family
+                                 if not mask & r_mask), None)
+        return misses[mask]
+
+
+def _joinability(x: Shift) -> _Joinability:
+    return x.derived("joinability", _Joinability)
 
 
 # ------------------------------------------------------------ decisions
@@ -224,15 +262,13 @@ def is_irreducible(x: Shift) -> Decision:
     if x.is_empty:
         return Decision(True, None, "language",
                         note="empty shift: holds vacuously")
-    d, reach, fam = _irreducibility_data(x)
-    labels = _shortest_words_to_states(d)
-    for s in range(d.n_states):
-        for r_mask, v in fam:
-            if not reach[s] & r_mask:
-                u = x.alphabet.word_from_ranks(labels[s])
-                return Decision(False, (u, x.alphabet.word_from_ranks(v)),
-                                "language",
-                                note="no word joins u to v")
+    data = _joinability(x)
+    for s, m in enumerate(data.reach):
+        v = data.miss(m)
+        if v is not None:
+            u = x.alphabet.word_from_ranks(data.labels[s])
+            return Decision(False, (u, x.alphabet.word_from_ranks(v)),
+                            "language", note="no word joins u to v")
     return Decision(True, None, "language")
 
 
@@ -265,8 +301,12 @@ def synchronized_cover(x: Shift) -> tuple[LabeledGraph, list[int], SyncWitness]:
     Returns (cover, original automaton state ids, sync witness recomputed
     inside the cover).  For an irreducible shift the cover presents the
     same language, strongly connected and right-resolving; diameters and
-    cycle gcds are measured on it.
+    cycle gcds are measured on it.  Memoised on ``x``.
     """
+    return x.derived("cover", _synchronized_cover)
+
+
+def _synchronized_cover(x: Shift):
     w = synchronizing_word(x)
     g = to_graph(x.acceptor)
     comps = strongly_connected_components(g)
@@ -289,8 +329,12 @@ def is_mixing(x: Shift) -> MixingReport:
 
     ``cycle_gcd`` is the gcd of cycle lengths through the sync target's
     strongly connected component; mixing holds iff the shift is irreducible
-    and that gcd is 1.
+    and that gcd is 1.  Memoised on ``x``.
     """
+    return x.derived("mixing", _mixing)
+
+
+def _mixing(x: Shift) -> MixingReport:
     if x.is_empty:
         return MixingReport(True, 0, True,
                             note="empty shift: holds vacuously")
@@ -331,7 +375,11 @@ def _period_classes(cover: LabeledGraph, old: list[int], g: int) -> list[list[in
 
 def si_certificate(x: Shift) -> SiCertificate:
     """Uniform-gap certificate from the sync word, its self-gap floor, and
-    the cover diameter.  Requires a mixing shift."""
+    the cover diameter.  Requires a mixing shift.  Memoised on ``x``."""
+    return x.derived("certificate", _certificate)
+
+
+def _certificate(x: Shift) -> SiCertificate:
     if x.is_empty:
         return SiCertificate(SyncWitness(x.alphabet.word(""), None, 0),
                              0, 0, 0, 0, note="empty shift: degenerate")
@@ -380,13 +428,11 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     """
     if x.is_empty:
         raise EmptyShift("no uniform gap: the empty shift admits no fills")
-    d = x.acceptor
-    post_all = _post_all_masks(d)
-    fam = [(sum(1 << q for q in fs), v) for fs, v in backward_subsets(d)]
-    labels = _shortest_words_to_states(d)
-    n = d.n_states
-
-    rows = tuple(1 << s for s in range(n))
+    data = _joinability(x)
+    # rows[s] = states reached from s by words of the current length; one
+    # more letter ORs the rows of the successors of s
+    succ = [sorted({t for t in row if t != -1}) for row in x.acceptor.trans]
+    rows = tuple(1 << s for s in range(len(succ)))
     seen: dict[tuple, int] = {}
     history: list[tuple] = []
     hard_cap = 4 * search_cap + 64
@@ -396,21 +442,27 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
                 f"joint gap evolution did not close within {hard_cap} steps")
         seen[rows] = len(history)
         history.append(rows)
-        rows = tuple(_step_mask(m, post_all) for m in rows)
+        nxt = []
+        for ts in succ:
+            m = 0
+            for t in ts:
+                m |= rows[t]
+            nxt.append(m)
+        rows = tuple(nxt)
     pre = seen[rows]
 
     def failing(step: tuple) -> tuple[int, tuple[int, ...]] | None:
-        for s in range(n):
-            for r_mask, v in fam:
-                if not step[s] & r_mask:
-                    return s, v
+        for s, m in enumerate(step):
+            v = data.miss(m)
+            if v is not None:
+                return s, v
         return None
 
     ok = [failing(h) for h in history]
     for t in range(pre, len(history)):
         if ok[t] is not None:
             s, v = ok[t]
-            u = x.alphabet.word_from_ranks(labels[s])
+            u = x.alphabet.word_from_ranks(data.labels[s])
             raise NotMixing(
                 f"no uniform gap: u={u.text!r} cannot reach "
                 f"v={x.alphabet.word_from_ranks(v).text!r} at gap {t} "

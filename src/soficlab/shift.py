@@ -7,7 +7,10 @@ a right-resolving reduced presentation, and a minimal acceptor of the block
 language are all cached on the instance, and every later query runs against
 these.  Both derived objects come from one subset construction (Lind &
 Marcus, *Symbolic Dynamics and Coding*, 3.3-3.4), see
-:func:`determinize_minimize`.  Instances are immutable.
+:func:`determinize_minimize`.  The canonical objects are fixed at
+construction; derived invariants (irreducibility data, synchronized cover,
+mixing report, gap certificate, spectral entropy) are memoised on the
+instance on first use, see :meth:`Shift.derived`.
 """
 
 from __future__ import annotations
@@ -139,10 +142,13 @@ class Shift:
         For ``"sft"`` kind: a length w such that vertices of ``essential``
         correspond to allowed (w-1)-blocks, so each point has a unique
         presenting path.  None for sofic-kind shifts.
+
+    The canonical objects are fixed at construction; derived invariants are
+    memoised on first use (:meth:`derived`).
     """
 
     __slots__ = ("alphabet", "kind", "origin", "essential", "deterministic",
-                 "acceptor", "window")
+                 "acceptor", "window", "_derived")
 
     def __init__(self, origin, kind: str, essential: LabeledGraph,
                  window: int | None):
@@ -160,6 +166,7 @@ class Shift:
         else:
             self.deterministic, self.acceptor = determinize_minimize(ge)
         self.window = window
+        self._derived: dict = {}
 
     @classmethod
     def from_forbidden(cls, alphabet: Alphabet, forbidden=()) -> "Shift":
@@ -171,6 +178,18 @@ class Shift:
     def from_graph(cls, g: LabeledGraph) -> "Shift":
         """Sofic shift presented by the labeled graph ``g``."""
         return cls(g, "sofic", g, None)
+
+    def derived(self, key, compute):
+        """``compute(self)``, memoised under ``key`` on this instance.
+
+        Derived invariants are pure functions of the canonical objects, so
+        the first result is shared by every later call (callers must not
+        mutate it).  An exception leaves nothing cached.
+        """
+        memo = self._derived
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
     @property
     def is_empty(self) -> bool:

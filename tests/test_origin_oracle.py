@@ -6,7 +6,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab import Alphabet, LabeledGraph, Shift, equal_shifts
+from soficlab import (Alphabet, LabeledGraph, Shift, equal_shifts,
+                      is_irreducible)
 from soficlab.ca import image_presentation, random_ca
 from soficlab.cli import main
 from soficlab.dfa import determinize, minimize, word_counts
@@ -139,6 +140,43 @@ class TestOriginOracle:
         assert not origin_contains(y, (0,))
         assert not origin_contains(y, (1,))
         assert y.is_empty
+
+
+def _joins(x, u, vs, max_fill):
+    """The words of ``vs`` that some fill of length 0..max_fill joins after
+    ``u``; fills extend ``u`` one symbol at a time, inside the language."""
+    joined = set()
+    prefixes = [u]
+    for _ in range(max_fill + 1):
+        for p in prefixes:
+            joined.update(v for v in vs
+                          if v not in joined and origin_contains(x, p + v))
+        if len(joined) == len(vs):
+            break
+        prefixes = [p + (a,) for p in prefixes for a in range(len(x.alphabet))
+                    if origin_contains(x, p + (a,))]
+    return joined
+
+
+class TestIrreducibleOracle:
+    """``is_irreducible`` against fills found from ``Shift.origin`` alone.
+
+    A joinable pair in a graph with n vertices joins along a shortest path
+    between two vertices, so fills of length at most n - 1 decide it."""
+
+    @given(graph_shifts())
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_and_witness(self, x):
+        dec = is_irreducible(x)
+        max_fill = x.origin.n_vertices - 1
+        if dec.verdict is False:
+            u, v = (w.ranks() for w in dec.witness)
+            assert origin_contains(x, u) and origin_contains(x, v)
+            assert not _joins(x, u, [v], max_fill)
+            return
+        words = [w for n in range(1, 4) for w in _oracle_members(x, n)]
+        for u in words:
+            assert _joins(x, u, words, max_fill) == set(words), u
 
 
 class TestFormerBlowups:

@@ -293,3 +293,33 @@ class TestSynchronizedCover:
             if cur != -1:
                 ends.add(cur)
         assert len(ends) == 1
+
+
+class TestComputedOncePerShift:
+    """One ``shift analyze`` builds each derived invariant once, however many
+    verdicts read it."""
+
+    def test_shift_analyze_runs_each_invariant_once(self, tmp_path,
+                                                    monkeypatch, capsys):
+        import soficlab.props as props
+        from soficlab.cli import main
+
+        calls = {"backward_subsets": 0, "subgraph": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # in props, subgraph only cuts the synchronized cover out of the
+        # acceptor graph
+        for name in calls:
+            monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
+        path = tmp_path / "even.shift"
+        path.write_text("alphabet: 0 1\ngraph:\nedge 0 0 0\nedge 0 1 1\n"
+                        "edge 1 0 1\n")
+        assert main(["shift", "analyze", str(path),
+                     "--minimal-gap", "64"]) == 0
+        assert "#: minimal_gap" in capsys.readouterr().out
+        assert calls == {"backward_subsets": 1, "subgraph": 1}
