@@ -9,7 +9,7 @@ the typed boundary around that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from .errors import AlphabetMismatch, TableTooLarge, WordTooShort
@@ -184,6 +184,23 @@ class ConfigurationWindow:
         return f"ConfigurationWindow([{self.start},{self.stop}), {self.word.text!r})"
 
 
+class Memo:
+    """Mixin memoising derived results on an immutable object, in the
+    ``_derived`` dict the subclass provides.  ``derived(key, compute)``
+    computes ``compute(self)`` on the first call under ``key`` and shares it
+    with every later call (callers must not mutate it); an exception caches
+    nothing.  A shift keys its invariants by name; a rule keys what it
+    derives on a domain by ``(name, domain)``, so it is freed with the rule."""
+
+    __slots__ = ()
+
+    def derived(self, key, compute):
+        memo = self._derived
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
+
+
 @dataclass(frozen=True)
 class Decision:
     """Outcome of a decision procedure, with evidence.
@@ -214,7 +231,7 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class CellularAutomaton:
+class CellularAutomaton(Memo):
     """A sliding-window map given by an explicit local-rule table.
 
     The output at position ``i`` is ``rule(x[i+mem_left], ..., x[i+mem_right])``.
@@ -230,6 +247,8 @@ class CellularAutomaton:
         Inclusive memory offsets, ``mem_left <= mem_right``.
     table : tuple of str
         ``len(source) ** width`` output symbols, ``width = mem_right - mem_left + 1``.
+
+    Analyses on a domain are memoised on the rule (see ``soficlab.ca``).
     """
 
     source: Alphabet
@@ -237,6 +256,8 @@ class CellularAutomaton:
     mem_left: int
     mem_right: int
     table: tuple[str, ...]
+    _derived: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         if self.mem_left > self.mem_right:

@@ -7,17 +7,22 @@ edges are k-blocks with k at least the rule width, so each edge determines
 one output symbol.  Questions about pairs of points become reachability
 questions in the product of that graph with itself, restricted to edge
 pairs producing the same output.
+
+Each (rule, domain) pair is analysed once: the recoding, pair graph, image
+and injectivity verdicts are cached on the rule under (name, domain), shifts
+hashing by identity (:meth:`Memo.derived`).  They are shared by every later
+call, must not be mutated, and are freed with the rule.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
 from .base import (Alphabet, CellularAutomaton, ConfigurationWindow, Decision,
                    Word)
-from .dfa import shortest_missing
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import (AlphabetMismatch, NoSyncWord, NotEndomorphism,
                      NotIntoTarget, NotMixing, TableTooLarge, WordTooShort)
@@ -36,14 +41,28 @@ def apply_to_word(t: CellularAutomaton, w) -> Word:
     return t.apply(w)
 
 
+def _per_domain(fn):
+    """Memoise ``fn(t, x)`` on the rule ``t``, keyed by the domain ``x``."""
+    @functools.wraps(fn)
+    def memoised(t: CellularAutomaton, x: Shift):
+        return t.derived((fn.__name__, x), lambda t: fn(t, x))
+    return memoised
+
+
+def _output_ranks(t: CellularAutomaton) -> tuple[int, ...]:
+    """Target rank of the rule's output per window rank, memoised."""
+    return t.derived("outputs", lambda t: tuple(map(t.target.index, t.table)))
+
+
 @dataclass(frozen=True)
 class PairGraph:
     """Product of the recoded presentation with itself, filtered to edge
     pairs with equal output symbols.
 
-    ``base`` is the recoded graph (edges are k-blocks); pair vertex p*n+q
-    stands for the ordered vertex pair (p, q).  Each edge records both
-    k-block labels and a flag marking the pairs where the blocks differ.
+    ``base`` is the recoded graph (edges are k-blocks, mapped to the target
+    ranks ``outputs``); pair vertex p*n+q stands for the ordered vertex pair
+    (p, q).  Each edge records both k-block labels and a flag marking the
+    pairs where the blocks differ.
     ``exact`` notes whether points of the domain have unique presenting
     paths in ``base`` (true for window-defined domains), which is what
     upgrades pair reachability facts to statements about points.
@@ -51,6 +70,7 @@ class PairGraph:
 
     base: LabeledGraph
     blocks: tuple[tuple[int, ...], ...]
+    outputs: tuple[int, ...]
     width: int
     exact: bool
     edges: tuple[tuple[int, int, int, int, bool], ...]  # (src,dst,la,lb,flag)
@@ -64,23 +84,23 @@ class PairGraph:
         return self.base.n_vertices ** 2
 
 
+@_per_domain
 def _recode(t: CellularAutomaton, x: Shift):
-    """One-block form: a presentation whose edges determine one output."""
+    """One-block form: the path graph whose edges are the width-blocks of
+    a presentation of ``x``, the blocks, and the output rank of each."""
     if t.source != x.alphabet:
         raise AlphabetMismatch("the rule reads a different alphabet")
-    k = max(t.width, 1)
     base = x.essential if x.window is not None else x.deterministic
-    pg, blocks = path_graph(base, k)
-    img = [t.target.index(t.table[t.block_rank(b[:t.width])]) for b in blocks]
-    return pg, blocks, img, x.window is not None
+    pg, blocks = path_graph(base, t.width)
+    out = _output_ranks(t)
+    return pg, blocks, tuple(out[t.block_rank(b)] for b in blocks)
 
 
+@_per_domain
 def pair_graph(t: CellularAutomaton, x: Shift) -> PairGraph:
-    pg, blocks, img, exact = _recode(t, x)
+    pg, blocks, img = _recode(t, x)
     n = pg.n_vertices
-    by_src: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, d, a in pg.edges:
-        by_src[s].append((d, a))
+    by_src = pg.out_map()
     pedges = []
     for p in range(n):
         for q in range(n):
@@ -89,7 +109,8 @@ def pair_graph(t: CellularAutomaton, x: Shift) -> PairGraph:
                     if img[a] == img[b]:
                         pedges.append((p * n + q, d1 * n + d2, a, b, a != b))
     pedges.sort(key=lambda e: (e[0], blocks[e[2]], blocks[e[3]]))
-    return PairGraph(pg, blocks, t.width, exact, tuple(pedges))
+    return PairGraph(pg, blocks, img, t.width, x.window is not None,
+                     tuple(pedges))
 
 
 def _path_word(alphabet: Alphabet, blocks, labels: list[int]) -> Word:
@@ -130,6 +151,7 @@ class PointPairWitness:
     image: Word
 
 
+@_per_domain
 def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
     """Can two points agreeing outside a finite set share their image?
 
@@ -150,9 +172,7 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
         alphabet = x.alphabet
         wa = _path_word(alphabet, pgr.blocks, la)
         wb = _path_word(alphabet, pgr.blocks, lb)
-        img = t.target.word_from_ranks(
-            [t.target.index(t.table[t.block_rank(pgr.blocks[e][:t.width])])
-             for e in la])
+        img = t.target.word_from_ranks(pgr.outputs[e] for e in la)
         wit = DiamondWitness(ConfigurationWindow(0, wa),
                              ConfigurationWindow(0, wb), img)
         return Decision(False, wit, "point",
@@ -253,10 +273,11 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
     lam = tail if tail else _self_loop(rows, q0)
     if lam is None:
         return None
-    reps = -(-max(t.width, 1) // len(lam))
-    pad = tuple(lam) * reps
-    bound = 2 * pgr.n_base + t.width
+    k = t.width
+    pad = tuple(lam) * -(-k // len(lam))
+    bound = 2 * pgr.n_base + k
     alphabet = x.alphabet
+    out = _output_ranks(t)
 
     level = [((), q0)]
     for _ in range(bound + 1):
@@ -267,7 +288,8 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
             if run(p, tail) == -1:
                 continue
             w = pad + u + tail + pad
-            img = t.apply(alphabet.word_from_ranks(w)).ranks()
+            img = tuple(out[t.block_rank(w[i:i + k])]
+                        for i in range(len(w) - k + 1))
             if img in groups and groups[img] != u:
                 v = groups[img]
                 wa = alphabet.word_from_ranks(pad + u + tail + pad)
@@ -288,6 +310,7 @@ def _self_loop(rows, q0: int):
     return None
 
 
+@_per_domain
 def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
     """Do any two distinct points share an image?
 
@@ -307,13 +330,13 @@ def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
     if not flagged:
         return Decision(True, None, "point")
     e = flagged[0]
-    wit = _periodic_pair(pgr, alive_edges, e, t, x.alphabet)
+    wit = _periodic_pair(pgr, alive_edges, e, t)
     return Decision(False, wit, "point",
                     note="two distinct points with equal images")
 
 
-def _periodic_pair(pgr: PairGraph, alive_edges, e, t: CellularAutomaton,
-                   alphabet: Alphabet) -> PointPairWitness:
+def _periodic_pair(pgr: PairGraph, alive_edges, e,
+                   t: CellularAutomaton) -> PointPairWitness:
     """Assemble an eventually-periodic equal-image point pair through a
     flagged edge of the bi-infinite pair core."""
     into: dict[int, list] = {}
@@ -322,47 +345,41 @@ def _periodic_pair(pgr: PairGraph, alive_edges, e, t: CellularAutomaton,
         outof.setdefault(ed[0], []).append(ed)
         into.setdefault(ed[1], []).append(ed)
 
-    # walk backward until a vertex repeats; the repeat closes a cycle that
-    # sits at the START of the reversed path, so the word can be extended
-    # leftward with that period
-    back, order, v = [], [e[0]], e[0]
-    while True:
-        ed = min(into[v], key=lambda x_: (pgr.blocks[x_[2]], pgr.blocks[x_[3]]))
-        back.append(ed)
-        v = ed[0]
-        if v in order:
-            left_period = len(order) - order.index(v)
-            break
-        order.append(v)
+    def walk(v: int, edges_at: dict, end: int):
+        """Follow least-labelled edges until a vertex repeats; the repeat
+        closes a cycle, whose length is the period at that end."""
+        path, order = [], [v]
+        while True:
+            ed = min(edges_at[v],
+                     key=lambda x_: (pgr.blocks[x_[2]], pgr.blocks[x_[3]]))
+            path.append(ed)
+            v = ed[end]
+            if v in order:
+                return path, len(order) - order.index(v)
+            order.append(v)
+
+    # walking backward, the cycle sits at the START of the reversed path,
+    # so the word can be extended leftward with that period
+    back, left_period = walk(e[0], into, 0)
     back.reverse()
-    fwd, order, v = [], [e[1]], e[1]
-    while True:
-        ed = min(outof[v], key=lambda x_: (pgr.blocks[x_[2]], pgr.blocks[x_[3]]))
-        fwd.append(ed)
-        v = ed[1]
-        if v in order:
-            right_period = len(order) - order.index(v)
-            break
-        order.append(v)
+    fwd, right_period = walk(e[1], outof, 1)
     labels = back + [e] + fwd
     la = [ed[2] for ed in labels]
     lb = [ed[3] for ed in labels]
-    wa = _path_word(alphabet, pgr.blocks, la)
-    wb = _path_word(alphabet, pgr.blocks, lb)
-    img = t.target.word_from_ranks(
-        [t.target.index(t.table[t.block_rank(pgr.blocks[l][:t.width])])
-         for l in la])
+    wa = _path_word(t.source, pgr.blocks, la)
+    wb = _path_word(t.source, pgr.blocks, lb)
+    img = t.target.word_from_ranks(pgr.outputs[l] for l in la)
     return PointPairWitness(wa, wb, left_period, right_period, img)
 
 
 def image_presentation(t: CellularAutomaton, x: Shift,
                        self_check_n: int = 0) -> Shift:
     """The image shift: relabel each k-block edge of the recoded domain by
-    its output symbol.  ``self_check_n`` > 0 additionally verifies the
-    image language against brute-force block images up to that length."""
-    pg, blocks, img, _ = _recode(t, x)
-    edges = tuple((s, d, img[a]) for s, d, a in pg.edges)
-    y = Shift.from_graph(LabeledGraph(t.target, pg.n_vertices, edges))
+    its output symbol; memoised.  ``self_check_n`` > 0 additionally verifies
+    the image language against brute-force block images up to that length."""
+    pg, _, img = _recode(t, x)
+    y = t.derived(("image", x), lambda t: Shift.from_graph(LabeledGraph(
+        t.target, pg.n_vertices, tuple((s, d, img[a]) for s, d, a in pg.edges))))
     if self_check_n > 0:
         for n in range(self_check_n + 1):
             direct = {t.apply(w).text for w in x.blocks(n + t.width - 1)}
@@ -375,8 +392,9 @@ def image_presentation(t: CellularAutomaton, x: Shift,
 def is_surjective(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
     """Does the image fill the target?  Image and target are both sofic, so
     equality of their languages decides equality of the point sets.  A
-    false verdict carries a shortest target word no point of the image
-    contains."""
+    false verdict carries the shortest (then lexicographically least)
+    target word no point of the image contains: with the image inside the
+    target, that is the word the language comparison reports."""
     img = image_presentation(t, x)
     if img.is_empty or y.is_empty:
         if img.is_empty and y.is_empty:
@@ -391,9 +409,7 @@ def is_surjective(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
     eq = equal_shifts(img, y)
     if eq.verdict:
         return Decision(True, None, "point")
-    missing = shortest_missing(y.acceptor, img.acceptor)
-    goe = y.alphabet.word_from_ranks(missing)
-    return Decision(False, goe, "point", note="Garden of Eden word")
+    return Decision(False, eq.witness, "point", note="Garden of Eden word")
 
 
 @dataclass(frozen=True)

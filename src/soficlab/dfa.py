@@ -216,32 +216,21 @@ def shortest_difference(d1: FactorialDfa,
                         d2: FactorialDfa) -> tuple[tuple[int, ...], int] | None:
     """Shortest word in exactly one language, with the side (1 or 2) it
     belongs to; None when the languages are equal.  Ties break toward the
-    lexicographically least word."""
-    na = len(d1.alphabet)
-    start = (0, 0)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], tuple[int, ...]]] = deque([(start, ())])
-    while queue:
-        (q1, q2), w = queue.popleft()
-        for a in range(na):
-            t1 = d1.trans[q1][a] if q1 != -1 else -1
-            t2 = d2.trans[q2][a] if q2 != -1 else -1
-            if t1 == -1 and t2 == -1:
-                continue
-            nw = w + (a,)
-            if t1 == -1:
-                return nw, 2
-            if t2 == -1:
-                return nw, 1
-            if (t1, t2) not in seen:
-                seen.add((t1, t2))
-                queue.append(((t1, t2), nw))
-    return None
+    lexicographically least word: the least of the two one-sided
+    :func:`shortest_missing` words (the sides are disjoint, so the order
+    never ties)."""
+    found = [(w, side) for side, w in ((1, shortest_missing(d1, d2)),
+                                       (2, shortest_missing(d2, d1)))
+             if w is not None]
+    return min(found, key=lambda f: (len(f[0]), f[0]), default=None)
 
 
 def shortest_missing(d1: FactorialDfa,
                      d2: FactorialDfa) -> tuple[int, ...] | None:
-    """Shortest word in L(d1) but not in L(d2), or None if L(d1) ⊆ L(d2)."""
+    """Shortest word in L(d1) but not in L(d2), or None if L(d1) ⊆ L(d2).
+
+    Breadth-first over the product automaton in symbol-rank order, so ties
+    break toward the lexicographically least word."""
     na = len(d1.alphabet)
     start = (0, 0)
     seen = {start}
@@ -252,7 +241,7 @@ def shortest_missing(d1: FactorialDfa,
             t1 = d1.trans[q1][a]
             if t1 == -1:
                 continue
-            t2 = d2.trans[q2][a] if q2 != -1 else -1
+            t2 = d2.trans[q2][a]
             nw = w + (a,)
             if t2 == -1:
                 return nw

@@ -81,12 +81,6 @@ class LabeledGraph:
             adj[s].append((d, a))
         return adj
 
-    def in_map(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for s, d, a in self.edges:
-            adj[d].append((s, a))
-        return adj
-
     def is_right_resolving(self) -> bool:
         """No vertex carries two out-edges with the same label."""
         seen = set()
@@ -212,10 +206,19 @@ def strongly_connected_components(g: LabeledGraph) -> list[list[int]]:
     return comps
 
 
-def is_strongly_connected(g: LabeledGraph) -> bool:
-    if g.n_vertices <= 1:
-        return True
-    return len(strongly_connected_components(g)) == 1
+def bfs_levels(adj: list[list[tuple[int, int]]], start: int) -> list[int]:
+    """Shortest path length from ``start`` to each vertex, -1 where
+    unreachable; ``adj`` is an :meth:`LabeledGraph.out_map`."""
+    lvl = [-1] * len(adj)
+    lvl[start] = 0
+    q = deque([start])
+    while q:
+        v = q.popleft()
+        for w, _ in adj[v]:
+            if lvl[w] == -1:
+                lvl[w] = lvl[v] + 1
+                q.append(w)
+    return lvl
 
 
 def cycle_gcd(g: LabeledGraph) -> int:
@@ -225,17 +228,7 @@ def cycle_gcd(g: LabeledGraph) -> int:
     """
     if not g.edges:
         return 0
-    adj = g.out_map()
-    lvl = [-1] * g.n_vertices
-    start = g.edges[0][0]
-    lvl[start] = 0
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for w, _ in adj[v]:
-            if lvl[w] == -1:
-                lvl[w] = lvl[v] + 1
-                q.append(w)
+    lvl = bfs_levels(g.out_map(), g.edges[0][0])
     val = 0
     for s, d, _ in g.edges:
         if lvl[s] != -1 and lvl[d] != -1:
@@ -250,23 +243,11 @@ def directed_diameter(g: LabeledGraph) -> int:
     """
     if g.n_vertices <= 1:
         return 0
-    adj = [[] for _ in range(g.n_vertices)]
-    for s, d, _ in g.edges:
-        adj[s].append(d)
+    adj = g.out_map()
     best = 0
     for src in range(g.n_vertices):
-        dist = [-1] * g.n_vertices
-        dist[src] = 0
-        q = deque([src])
-        seen = 1
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    seen += 1
-                    q.append(w)
-        if seen != g.n_vertices:
+        dist = bfs_levels(adj, src)
+        if -1 in dist:
             raise ValueError("graph is not strongly connected")
         best = max(best, max(dist))
     return best

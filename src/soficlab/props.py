@@ -28,7 +28,7 @@ from .base import ConfigurationWindow, Decision, Word
 from .dfa import FactorialDfa, backward_subsets, shortest_sync, to_graph
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
-from .graph import (LabeledGraph, cycle_gcd, directed_diameter,
+from .graph import (LabeledGraph, bfs_levels, cycle_gcd, directed_diameter,
                     strongly_connected_components, subgraph)
 from .shift import Shift
 
@@ -354,19 +354,10 @@ def _mixing(x: Shift) -> MixingReport:
     return MixingReport(True, g, False, witness=classes,
                         note=f"period {g}")
 
+
 def _period_classes(cover: LabeledGraph, old: list[int], g: int) -> list[list[int]]:
     """Vertices of the cover split by path-length residue mod the period."""
-    from collections import deque
-    adj = cover.out_map()
-    lvl = [-1] * cover.n_vertices
-    lvl[0] = 0
-    q = deque([0])
-    while q:
-        v = q.popleft()
-        for w, _ in adj[v]:
-            if lvl[w] == -1:
-                lvl[w] = lvl[v] + 1
-                q.append(w)
+    lvl = bfs_levels(cover.out_map(), 0)
     classes: list[list[int]] = [[] for _ in range(g)]
     for v in range(cover.n_vertices):
         classes[lvl[v] % g].append(old[v])

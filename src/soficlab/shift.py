@@ -10,7 +10,7 @@ Marcus, *Symbolic Dynamics and Coding*, 3.3-3.4), see
 :func:`determinize_minimize`.  The canonical objects are fixed at
 construction; derived invariants (irreducibility data, synchronized cover,
 mixing report, gap certificate, spectral entropy) are memoised on the
-instance on first use, see :meth:`Shift.derived`.
+instance on first use, see :meth:`Memo.derived`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dfa as _dfa
-from .base import Alphabet, CellularAutomaton, Decision, Word
+from .base import Alphabet, CellularAutomaton, Decision, Memo, Word
 from .dfa import _STATE_CAP
 from .errors import AlphabetMismatch, EmptyShift, StateBlowup
 from .graph import (LabeledGraph, block_name, essentialize, follower_reduce,
@@ -117,7 +117,7 @@ def determinize_minimize(g: LabeledGraph, cap: int = _STATE_CAP
     return reduced, _dfa.minimize(subset)
 
 
-class Shift:
+class Shift(Memo):
     """A subshift over the integers, canonicalized at construction.
 
     Attributes
@@ -178,18 +178,6 @@ class Shift:
     def from_graph(cls, g: LabeledGraph) -> "Shift":
         """Sofic shift presented by the labeled graph ``g``."""
         return cls(g, "sofic", g, None)
-
-    def derived(self, key, compute):
-        """``compute(self)``, memoised under ``key`` on this instance.
-
-        Derived invariants are pure functions of the canonical objects, so
-        the first result is shared by every later call (callers must not
-        mutate it).  An exception leaves nothing cached.
-        """
-        memo = self._derived
-        if key not in memo:
-            memo[key] = compute(self)
-        return memo[key]
 
     @property
     def is_empty(self) -> bool:

@@ -2,6 +2,9 @@
 injectivity and pre-injectivity, image presentations, surjectivity with
 garden-of-eden witnesses, and the bundled example pairs end to end."""
 
+import functools
+import itertools
+
 import pytest
 
 from soficlab import (Alphabet, CellularAutomaton, Word,
@@ -16,7 +19,7 @@ from soficlab import (Alphabet, CellularAutomaton, Word,
                       NotEndomorphism, NotIntoTarget, TableTooLarge,
                       WordTooShort)
 
-from oracles import missing_preimage
+from oracles import missing_preimage, origin_contains
 
 
 def or_rule(a):
@@ -328,3 +331,103 @@ class TestCorpus:
         assert id_o.entropy.equality_holds
         assert c0_o.myhill.pre_injective.verdict is False
         assert c0_o.image_si is True
+
+
+@functools.lru_cache(maxsize=None)
+def _origin_blocks(x, n):
+    """Rank words of length ``n`` of ``x``, lexicographic, decided from
+    ``x.origin`` alone (never the acceptor)."""
+    return [w for w in itertools.product(range(len(x.alphabet)), repeat=n)
+            if origin_contains(x, w)]
+
+
+def _table_image(t, ranks):
+    """Slide the rule table across a rank word, by hand."""
+    k, na = t.width, len(t.source)
+    out = []
+    for i in range(len(ranks) - k + 1):
+        r = 0
+        for a in ranks[i:i + k]:
+            r = r * na + a
+        out.append(t.target.index(t.table[r]))
+    return tuple(out)
+
+
+class TestGardenOfEdenWord:
+    """A non-surjective endomorphism reports the shortest, then
+    lexicographically least, target word without a preimage."""
+
+    @pytest.mark.parametrize("name, seeds", [("full2", range(30)),
+                                             ("golden", range(120))])
+    def test_least_word_without_preimage(self, shifts, name, seeds):
+        x = shifts[name]
+        checked = 0
+        for memory in ((0, 0), (0, 1), (0, 2)):
+            for seed in seeds:
+                t = random_ca(x.alphabet, x.alphabet, memory, seed)
+                if not language_included(image_presentation(t, x), x).verdict:
+                    continue
+                d = is_surjective(t, x, x)
+                if d.verdict:
+                    continue
+                checked += 1
+                goe = d.witness.ranks()
+                for n in range(1, len(goe) + 1):
+                    images = {_table_image(t, u)
+                              for u in _origin_blocks(x, n + t.width - 1)}
+                    orphans = [w for w in _origin_blocks(x, n)
+                               if w not in images]
+                    if n < len(goe):
+                        assert orphans == [], (memory, seed)
+                    else:
+                        assert orphans[0] == goe, (memory, seed)
+        assert checked >= 50
+
+
+class TestComputedOncePerRule:
+    """One (rule, domain) pair is recoded, searched and imaged once, however
+    many verdicts read the results."""
+
+    @staticmethod
+    def _count(monkeypatch, module, names):
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        return calls
+
+    def test_ca_analyze_recodes_and_searches_once(self, monkeypatch, capsys):
+        import soficlab.ca as ca
+        from soficlab.cli import main
+
+        calls = self._count(monkeypatch, ca, ("path_graph", "_diamond_search"))
+        assert main(["ca", "analyze", "full2", "xor"]) == 0
+        assert "#: surjective 1" in capsys.readouterr().out
+        assert calls == {"path_graph": 1, "_diamond_search": 1}
+
+    def test_sofic_search_runs_once(self, monkeypatch, capsys):
+        # identity on the even shift: no diamond, a domain without unique
+        # presenting paths, so the point-level search decides
+        import soficlab.ca as ca
+        from soficlab.cli import main
+
+        calls = self._count(monkeypatch, ca, ("_sofic_refutation",))
+        assert main(["ca", "analyze", "even", "identity"]) == 0
+        assert "#: pre_injective 1 presentation" in capsys.readouterr().out
+        assert calls == {"_sofic_refutation": 1}
+
+    def test_corpus_instance_builds_one_image(self, monkeypatch):
+        import soficlab.shift as shift_mod
+
+        x = shift_mod.Shift.from_forbidden(Alphabet(("0", "1")), ())
+        calls = self._count(monkeypatch, shift_mod, ("determinize_minimize",))
+        rep = run_corpus(x, 1, 42, (0, 2))
+        assert len(rep.instances) == 1
+        assert calls == {"determinize_minimize": 1}
