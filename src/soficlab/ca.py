@@ -9,7 +9,8 @@ questions in the product of that graph with itself, restricted to edge
 pairs producing the same output.
 
 Each (rule, domain) pair is analysed once: the recoding, pair graph, image
-and injectivity verdicts are cached on the rule under (name, domain), shifts
+and injectivity verdicts are cached on the rule under (name, domain), and
+the image's inclusion in a target under (name, domain, target), shifts
 hashing by identity (:meth:`Memo.derived`).  They are shared by every later
 call, must not be mutated, and are freed with the rule.
 """
@@ -389,6 +390,13 @@ def image_presentation(t: CellularAutomaton, x: Shift,
     return y
 
 
+def image_included(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
+    """:func:`language_included` of the image of ``x`` in ``y``; memoised
+    on the rule, so each (rule, domain, target) runs one product search."""
+    return t.derived(("included", x, y), lambda t: language_included(
+        image_presentation(t, x), y))
+
+
 def is_surjective(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
     """Does the image fill the target?  Image and target are both sofic, so
     equality of their languages decides equality of the point sets.  A
@@ -402,7 +410,7 @@ def is_surjective(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
         if img.is_empty:
             return Decision(False, None, "point", note="empty image")
         raise NotIntoTarget("nonempty image into the empty shift")
-    inc = language_included(img, y)
+    inc = image_included(t, x, y)
     if not inc.verdict:
         raise NotIntoTarget(
             f"the image is not inside the target: witness {inc.witness.text!r}")
@@ -429,8 +437,7 @@ class MyhillReport:
 def check_myhill(t: CellularAutomaton, x: Shift) -> MyhillReport:
     """Check the surjectivity-from-pre-injectivity implication on one
     endomorphism.  Raises NotEndomorphism when the rule leaves x."""
-    img = image_presentation(t, x)
-    inc = language_included(img, x)
+    inc = image_included(t, x, x)
     if not inc.verdict:
         raise NotEndomorphism(
             f"image leaves the shift: witness {inc.witness.text!r}")
@@ -518,8 +525,7 @@ def search_moore_counterexample(x: Shift, memory_bound: int = 3,
         for table in tables:
             spent += 1
             t = CellularAutomaton(a, a, 0, width - 1, tuple(table))
-            img = image_presentation(t, x)
-            if not language_included(img, x).verdict:
+            if not image_included(t, x, x).verdict:
                 continue
             if not is_surjective(t, x, x).verdict:
                 continue

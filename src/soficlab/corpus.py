@@ -13,12 +13,12 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .ca import (image_presentation, is_injective, is_pre_injective,
-                 is_surjective, random_ca)
+from .ca import (image_included, image_presentation, is_injective,
+                 is_pre_injective, is_surjective, random_ca)
 from .dfa import word_counts
 from .entropy import entropy_spectral
 from .props import is_strongly_irreducible
-from .shift import Shift, language_included
+from .shift import Shift
 
 _COUNT_N = 12
 _ENTROPY_TOL = 1e-9
@@ -65,9 +65,9 @@ def _run_instance(x: Shift, seed: int, memory: tuple[int, int],
                   check_image_si: bool) -> CorpusInstance | None:
     """Classify one seed; None when the table is not an endomorphism."""
     t = random_ca(x.alphabet, x.alphabet, memory, seed)
-    img = image_presentation(t, x)
-    if not language_included(img, x).verdict:
+    if not image_included(t, x, x).verdict:
         return None
+    img = image_presentation(t, x)
     pre = is_pre_injective(t, x)
     inj = is_injective(t, x)
     sur = is_surjective(t, x, x)

@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .base import Alphabet
 from .errors import CapExceeded, StateBlowup
 from .graph import LabeledGraph, refine_classes
@@ -287,35 +289,42 @@ def shortest_sync(trans, states, n_symbols: int) -> tuple[tuple[int, ...], int] 
 
 
 def backward_subsets(d: FactorialDfa,
-                     cap: int = _STATE_CAP) -> list[tuple[frozenset, tuple[int, ...]]]:
-    """All sets of the form {q : word readable from q}, with a shortest
-    representative word for each.
+                     cap: int = _STATE_CAP) -> list[tuple[int, tuple[int, ...]]]:
+    """All sets of the form {q : word readable from q}, as bitmasks over
+    the states, with a shortest representative word for each.
 
     Starts from the full state set (the empty word) and closes under
-    per-symbol preimage: the set for a word a·v is the a-preimage of the
-    set for v.  Every set in the family is nonempty and its representative
-    word is in the language (the family's sets are exactly the readable
-    words' state sets, and readable-from-somewhere means in the language
-    for a factor-closed acceptor).
+    per-symbol preimage, breadth first: the set for a word a·v is the
+    a-preimage of the set for v.  A set is a bool array with one trailing
+    sentinel slot (always False), and the a-preimage of ``cur`` is
+    ``cur[col_a]``, where ``col_a[q]`` is the a-successor of q, or the
+    sentinel when undefined.  Every set in the family is nonempty and its
+    representative word is in the language (the family's sets are exactly
+    the readable words' state sets, and readable-from-somewhere means in
+    the language for a factor-closed acceptor).
     """
-    na = len(d.alphabet)
-    pre: list[list[list[int]]] = [[[] for _ in range(na)] for _ in range(d.n_states)]
-    for q, row in enumerate(d.trans):
-        for a, t in enumerate(row):
-            if t != -1:
-                pre[t][a].append(q)
-    full = frozenset(range(d.n_states))
-    out: list[tuple[frozenset, tuple[int, ...]]] = [(full, ())]
-    seen = {full}
+    n = d.n_states
+    # cols[a][q] is the a-successor of q; undefined moves and the sentinel
+    # state n itself go to n
+    cols = np.array(d.trans + ((n,) * len(d.alphabet),), dtype=np.intp).T
+    cols[cols == -1] = n
+    full = np.ones(n + 1, dtype=bool)
+    full[n] = False
+    sets, words = [full], [()]
+    # the empty set is marked seen so that it is never added
+    seen = {full.tobytes(), bytes(n + 1)}
     i = 0
-    while i < len(out):
-        cur, v = out[i]
-        for a in range(na):
-            prev = frozenset(q for t in cur for q in pre[t][a])
-            if prev and prev not in seen:
-                if len(seen) >= cap:
+    while i < len(sets):
+        v = words[i]
+        for a, prev in enumerate(sets[i][cols]):
+            key = prev.tobytes()
+            if key not in seen:
+                if len(sets) >= cap:
                     raise CapExceeded(f"backward subset family passed {cap} sets")
-                seen.add(prev)
-                out.append((prev, (a,) + v))
+                seen.add(key)
+                sets.append(prev)
+                words.append((a,) + v)
         i += 1
-    return out
+    masks = np.packbits(sets, axis=1, bitorder="little")
+    return [(int.from_bytes(m.tobytes(), "little"), w)
+            for m, w in zip(masks, words)]

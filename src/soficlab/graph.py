@@ -236,21 +236,41 @@ def cycle_gcd(g: LabeledGraph) -> int:
     return abs(val)
 
 
+def successor_rows(rows, succ) -> tuple[int, ...]:
+    """One step of row evolution over bitmask rows: entry v is the OR of
+    ``rows[t]`` over the vertices t in ``succ[v]``."""
+    out = []
+    for ts in succ:
+        m = 0
+        for t in ts:
+            m |= rows[t]
+        out.append(m)
+    return tuple(out)
+
+
 def directed_diameter(g: LabeledGraph) -> int:
     """Max over ordered vertex pairs of the shortest directed path length.
 
-    Raises ValueError unless the graph is strongly connected.
+    Evolves ``rows[v]``, the bitmask of vertices within k steps of v: one
+    more step ORs into it the rows of v's successors.  The diameter is the
+    first k at which every row is full.  Raises ValueError unless the graph
+    is strongly connected (the rows then stop changing before they fill).
     """
-    if g.n_vertices <= 1:
+    n = g.n_vertices
+    if n <= 1:
         return 0
-    adj = g.out_map()
-    best = 0
-    for src in range(g.n_vertices):
-        dist = bfs_levels(adj, src)
-        if -1 in dist:
+    succ = [{v} for v in range(n)]
+    for s, d, _ in g.edges:
+        succ[s].add(d)
+    full = (1 << n) - 1
+    rows = tuple(1 << v for v in range(n))
+    k = 0
+    while rows.count(full) < n:
+        nxt = successor_rows(rows, succ)
+        if nxt == rows:
             raise ValueError("graph is not strongly connected")
-        best = max(best, max(dist))
-    return best
+        rows, k = nxt, k + 1
+    return k
 
 
 def block_name(alphabet: Alphabet, ranks: tuple[int, ...]) -> str:

@@ -15,9 +15,14 @@ periodic; detecting the cycle turns "for all N >= N0" into an exact check.
 Each invariant is computed once per Shift and memoised on it (see
 :meth:`Shift.derived`): the joinability data (reach closure, backward
 family, state labels), the synchronized cover, the mixing report and the
-gap certificate.  The reach closure takes one pass over the strongly
-connected components of the acceptor, sinks first; the gap evolution ORs
-successor rows, one step per gap length, and tests each distinct row once.
+gap certificate.  All state sets are bitmasks.  The reach closure takes one
+pass over the strongly connected components of the acceptor, sinks first;
+the backward family comes from vectorised preimages
+(:func:`backward_subsets`).  The gap evolution ORs successor rows, one step
+per gap length, and tests each distinct row once, against the
+inclusion-minimal backward sets; only a row that misses one scans the
+family in order for its witness.  The cover diameter evolves rows the same
+way (:func:`directed_diameter`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .dfa import FactorialDfa, backward_subsets, shortest_sync, to_graph
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, bfs_levels, cycle_gcd, directed_diameter,
-                    strongly_connected_components, subgraph)
+                    strongly_connected_components, subgraph, successor_rows)
 from .shift import Shift
 
 _GAP_CAP = 256
@@ -209,10 +214,13 @@ class _Joinability:
     ``family`` pairs each backward reading set (as a bitmask) with its
     shortest representative word; ``labels[s]`` is the shortest word
     reaching s.  :meth:`miss` answers "which backward set does this mask
-    miss" once per distinct mask.
+    miss" once per distinct mask.  It first tests the mask against the
+    inclusion-minimal sets of the family (``minimal``): every set contains
+    a minimal one, so a mask that meets them all meets every set.  Only a
+    failing mask scans the family in order for its first missed set.
     """
 
-    __slots__ = ("reach", "family", "labels", "_misses")
+    __slots__ = ("reach", "family", "minimal", "labels", "_misses")
 
     def __init__(self, x: Shift):
         d = x.acceptor
@@ -230,8 +238,13 @@ class _Joinability:
             for q in comp:
                 reach[q] = m
         self.reach = reach
-        self.family = [(sum(1 << q for q in fs), v)
-                       for fs, v in backward_subsets(d)]
+        self.family = backward_subsets(d)
+        # by size, so a set is kept unless a smaller kept set lies inside it
+        minimal: list[int] = []
+        for r in sorted((r for r, _ in self.family), key=int.bit_count):
+            if all(k & ~r for k in minimal):
+                minimal.append(r)
+        self.minimal = minimal
         self.labels = _shortest_words_to_states(d)
         self._misses: dict[int, tuple[int, ...] | None] = {}
 
@@ -240,8 +253,9 @@ class _Joinability:
         disjoint from ``mask``, or None when ``mask`` meets every one."""
         misses = self._misses
         if mask not in misses:
-            misses[mask] = next((v for r_mask, v in self.family
-                                 if not mask & r_mask), None)
+            meets_all = all(mask & k for k in self.minimal)
+            misses[mask] = None if meets_all else next(
+                v for r, v in self.family if not mask & r)
         return misses[mask]
 
 
@@ -433,13 +447,7 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
                 f"joint gap evolution did not close within {hard_cap} steps")
         seen[rows] = len(history)
         history.append(rows)
-        nxt = []
-        for ts in succ:
-            m = 0
-            for t in ts:
-                m |= rows[t]
-            nxt.append(m)
-        rows = tuple(nxt)
+        rows = successor_rows(rows, succ)
     pre = seen[rows]
 
     def failing(step: tuple) -> tuple[int, tuple[int, ...]] | None:

@@ -90,24 +90,22 @@ def sft_to_graph(spec: SftSpec, cap: int = _STATE_CAP) -> LabeledGraph:
     return LabeledGraph(spec.alphabet, len(verts), tuple(edges), names)
 
 
-def determinize_minimize(g: LabeledGraph, cap: int = _STATE_CAP
+def determinize_minimize(ge: LabeledGraph, cap: int = _STATE_CAP
                          ) -> tuple[LabeledGraph, _dfa.FactorialDfa]:
     """Right-resolving reduced presentation and minimal acceptor of the same
     bi-infinite language, from one subset construction.
 
-    For a graph whose essential part ``ge`` is not right-resolving, the
-    subset automaton ``D`` of ``ge`` (from the set of all vertices) is built
+    ``ge`` must be essential and nonempty (``Shift`` essentializes once and
+    handles the empty shift itself).  When ``ge`` is not right-resolving,
+    its subset automaton ``D`` (from the set of all vertices) is built
     once: the acceptor is ``minimize(D)`` and the presentation is the
-    follower reduction of the essential part of ``D``.  An essential part
-    that is already right-resolving is follower-reduced directly, and the
-    acceptor is minimized from the subset automaton of that reduction,
-    so a reduced presentation maps to itself (the operation is idempotent).
-    Both routes read the same language and minimization is canonical, so
-    the acceptor does not depend on the route.
+    follower reduction of the essential part of ``D``.  A right-resolving
+    ``ge`` is follower-reduced directly, and the acceptor is minimized from
+    the subset automaton of that reduction, so a reduced presentation maps
+    to itself (the operation is idempotent).  Both routes read the same
+    language and minimization is canonical, so the acceptor does not
+    depend on the route.
     """
-    ge, _ = essentialize(g)
-    if ge.n_vertices == 0:
-        raise EmptyShift("graph carries no bi-infinite path")
     if ge.is_right_resolving():
         reduced, _ = follower_reduce(ge)
         subset = _dfa.determinize(reduced, cap)

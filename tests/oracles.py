@@ -1,12 +1,13 @@
 """Reference implementations used to check the package's answers.
 
 Everything here favors transparency over speed: explicit word enumeration,
-per-pair set reachability, direct preimage search.  None of it shares
-algorithmic machinery with the code under test (which uses joint bitmask
-evolution, product automata, and matrix counting).  Most oracles still read
-membership through ``x.contains_word``, that is through the minimal
-acceptor; :func:`origin_contains` reads only the description the shift was
-built from, so it also checks canonicalization itself.
+per-pair set reachability, direct preimage search, frozenset closures and
+one breadth-first search per source.  None of it shares algorithmic
+machinery with the code under test (which uses joint bitmask evolution,
+vectorised preimages, product automata, and matrix counting).  Most
+oracles still read membership through ``x.contains_word``, that is through
+the minimal acceptor; :func:`origin_contains` reads only the description
+the shift was built from, so it also checks canonicalization itself.
 """
 
 from __future__ import annotations
@@ -230,3 +231,52 @@ def missing_preimage(t, x, y, max_len):
             if not found:
                 return w
     return None
+
+
+def backward_family(d):
+    """Backward reading sets ``{q : v readable from q}`` of an acceptor as
+    frozensets, each with its shortest representative word ``v``: closed
+    breadth first from the full set under per-symbol preimage, read
+    straight off the transition table."""
+    family = [(frozenset(range(d.n_states)), ())]
+    seen = {family[0][0]}
+    for cur, v in family:
+        for a in range(len(d.alphabet)):
+            prev = frozenset(q for q in range(d.n_states)
+                             if d.trans[q][a] in cur)
+            if prev and prev not in seen:
+                seen.add(prev)
+                family.append((prev, (a,) + v))
+    return family
+
+
+def first_missed(family, mask):
+    """Word of the first set of ``family`` (frozenset, word pairs) holding
+    no state of the bitmask ``mask``; None when ``mask`` meets them all."""
+    return next((v for fs, v in family
+                 if not any(mask >> q & 1 for q in fs)), None)
+
+
+def diameter_by_bfs(g):
+    """Largest shortest-path length over ordered vertex pairs, from one
+    breadth-first search per source; None when some vertex cannot reach
+    another."""
+    succ = [set() for _ in range(g.n_vertices)]
+    for s, d, _ in g.edges:
+        succ[s].add(d)
+    best = 0
+    for src in range(g.n_vertices):
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in succ[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        if len(dist) < g.n_vertices:
+            return None
+        best = max(best, max(dist.values()))
+    return best

@@ -431,3 +431,23 @@ class TestComputedOncePerRule:
         rep = run_corpus(x, 1, 42, (0, 2))
         assert len(rep.instances) == 1
         assert calls == {"determinize_minimize": 1}
+
+    def test_image_inclusion_searched_once(self, monkeypatch, full2):
+        # check_myhill and is_surjective both need the image inside the
+        # domain; the rule answers the second from the first
+        import soficlab.ca as ca
+
+        calls = self._count(monkeypatch, ca, ("language_included",))
+        rep = check_myhill(xor_ca(), full2)
+        assert rep.surjective.verdict is True
+        assert calls == {"language_included": 1}
+
+    def test_corpus_instance_product_searches(self, monkeypatch, full2):
+        # one search for the image inside the domain, then the two sides
+        # of the equality check in is_surjective
+        import soficlab.dfa as dfa
+
+        calls = self._count(monkeypatch, dfa, ("shortest_missing",))
+        rep = run_corpus(full2, 1, 42, (0, 2))
+        assert len(rep.instances) == 1
+        assert calls == {"shortest_missing": 3}

@@ -1,8 +1,11 @@
 """Differential tests of canonicalization against an oracle that reads only
-``Shift.origin``: random small graphs and random forbidden-word sets."""
+``Shift.origin``: random small graphs and random forbidden-word sets.  The
+bitmask joinability kernels (backward family, gap test, diameter) are
+checked the same way against transparent set-based oracles."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,11 +13,15 @@ from soficlab import (Alphabet, LabeledGraph, Shift, equal_shifts,
                       is_irreducible)
 from soficlab.ca import image_presentation, random_ca
 from soficlab.cli import main
-from soficlab.dfa import determinize, minimize, word_counts
-from soficlab.graph import follower_reduce
+from soficlab.dfa import (FactorialDfa, backward_subsets, determinize,
+                          minimize, word_counts)
+from soficlab.errors import CapExceeded
+from soficlab.graph import directed_diameter, follower_reduce
+from soficlab.props import _Joinability
 from soficlab.shift import sft_to_graph
 
-from oracles import origin_contains
+from oracles import (backward_family, diameter_by_bfs, first_missed,
+                     origin_contains)
 
 _ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
 _MAX_LEN = {2: 6, 3: 4}  # longest word checked exhaustively
@@ -193,3 +200,92 @@ class TestFormerBlowups:
                      "--seed", "95", "--memory", "0..3"]) == 0
         out = capsys.readouterr().out
         assert "#: summary shift=full2 kept=5 skipped=0 contradictions=0" in out
+
+
+@st.composite
+def partial_dfas(draw):
+    """Random partial transition tables cut down to the states reachable
+    from 0; unlike a shift's acceptor, not necessarily minimal or
+    extendable."""
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(st.integers(-1, n - 1), min_size=k,
+                                  max_size=k), min_size=n, max_size=n))
+    order, pos = [0], {0: 0}
+    for q in order:
+        for t in rows[q]:
+            if t != -1 and t not in pos:
+                pos[t] = len(order)
+                order.append(t)
+    return FactorialDfa(_ALPHABETS[k], tuple(
+        tuple(-1 if t == -1 else pos[t] for t in rows[q]) for q in order))
+
+
+@st.composite
+def plain_graphs(draw):
+    """Random graphs on 0..7 vertices; half of them carry a cycle through
+    every vertex, so strongly connected ones come up often."""
+    n = draw(st.integers(0, 7))
+    if n == 0:
+        return LabeledGraph(_ALPHABETS[2], 0, ())
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), st.integers(0, 1)),
+                          max_size=2 * n))
+    if draw(st.booleans()):
+        edges += [(v, (v + 1) % n, 0) for v in range(n)]
+    return LabeledGraph(_ALPHABETS[2], n, tuple(edges))
+
+
+class TestJoinabilityKernels:
+    """The bitmask kernels against transparent oracles: a frozenset closure
+    for the backward family, the full ordered scan for the gap test, and
+    one breadth-first search per source for the diameter."""
+
+    @given(st.one_of(partial_dfas(), shifts.map(lambda x: x.acceptor)))
+    @settings(max_examples=80, deadline=None)
+    def test_backward_subsets(self, d):
+        expected = [(sum(1 << q for q in fs), v)
+                     for fs, v in backward_family(d)]
+        assert backward_subsets(d) == expected
+        assert backward_subsets(d, cap=len(expected)) == expected
+        if len(expected) > 1:
+            with pytest.raises(CapExceeded):
+                backward_subsets(d, cap=len(expected) - 1)
+
+    @given(shifts.filter(lambda x: not x.is_empty), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_miss(self, x, data):
+        family = backward_family(x.acceptor)
+        full = (1 << x.acceptor.n_states) - 1
+        # the complement of a set misses it; 0 misses every set
+        masks = [0, full, *(full & ~sum(1 << q for q in fs)
+                            for fs, _ in family)]
+        masks += data.draw(st.lists(st.integers(0, full), max_size=20))
+        j = _Joinability(x)
+        masks += j.reach
+        for m in masks:
+            assert j.miss(m) == first_missed(family, m), bin(m)
+        assert j.miss(0) == ()
+
+    @given(plain_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_directed_diameter(self, g):
+        expected = diameter_by_bfs(g)
+        if expected is None:
+            with pytest.raises(ValueError):
+                directed_diameter(g)
+        else:
+            assert directed_diameter(g) == expected
+
+    def test_directed_diameter_by_hand(self):
+        a = _ALPHABETS[2]
+        assert directed_diameter(LabeledGraph(a, 0, ())) == 0
+        assert directed_diameter(LabeledGraph(a, 1, ())) == 0
+        assert directed_diameter(LabeledGraph(a, 1, ((0, 0, 1),))) == 0
+        cycle = LabeledGraph(a, 5, tuple((v, (v + 1) % 5, 0)
+                                         for v in range(5)))
+        assert directed_diameter(cycle) == 4
+        with pytest.raises(ValueError):
+            directed_diameter(LabeledGraph(a, 2, ((0, 1, 0),)))
+        with pytest.raises(ValueError):
+            directed_diameter(LabeledGraph(a, 2, ((0, 0, 0), (1, 1, 0))))
