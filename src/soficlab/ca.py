@@ -22,8 +22,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .base import (Alphabet, CellularAutomaton, ConfigurationWindow, Decision,
-                   Word)
+from .base import (_TABLE_CAP, Alphabet, CellularAutomaton, ConfigurationWindow,
+                   Decision, Word)
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import (AlphabetMismatch, NoSyncWord, NotEndomorphism,
                      NotIntoTarget, NotMixing, TableTooLarge, WordTooShort)
@@ -473,14 +473,16 @@ def check_entropy_preservation(t: CellularAutomaton, x: Shift,
 
 
 def random_ca(a: Alphabet, b: Alphabet, memory: tuple[int, int],
-              seed: int, max_width: int = 4) -> CellularAutomaton:
-    """Uniformly random rule table, reproducible from the seed."""
+              seed: int) -> CellularAutomaton:
+    """Uniformly random rule table, reproducible from the seed.  A table
+    over ``_TABLE_CAP`` entries raises TableTooLarge before any is drawn."""
     l, r = memory
     width = r - l + 1
     if width < 1:
         raise ValueError("memory interval is empty")
-    if width > max_width:
-        raise TableTooLarge(f"width {width} exceeds the cap {max_width}")
+    if len(a) ** width > _TABLE_CAP:
+        raise TableTooLarge(f"table needs {len(a) ** width} entries, "
+                            f"cap is {_TABLE_CAP}")
     rng = random.Random(seed)
     table = tuple(b.symbols[rng.randrange(len(b))]
                   for _ in range(len(a) ** width))

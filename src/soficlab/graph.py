@@ -46,10 +46,11 @@ class LabeledGraph:
         if self.n_vertices < 0:
             raise ValueError("negative vertex count")
         canon = tuple(sorted(set(map(tuple, self.edges))))
+        n, na = self.n_vertices, len(self.alphabet)
         for s, d, a in canon:
-            if not (0 <= s < self.n_vertices and 0 <= d < self.n_vertices):
+            if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"edge ({s},{d}) out of range")
-            if not (0 <= a < len(self.alphabet)):
+            if not (0 <= a < na):
                 raise ValueError(f"edge label rank {a} out of range")
         object.__setattr__(self, "edges", canon)
         if self.vertex_names is not None:
@@ -82,13 +83,9 @@ class LabeledGraph:
         return adj
 
     def is_right_resolving(self) -> bool:
-        """No vertex carries two out-edges with the same label."""
-        seen = set()
-        for s, _, a in self.edges:
-            if (s, a) in seen:
-                return False
-            seen.add((s, a))
-        return True
+        """No vertex carries two out-edges with the same label (edges are
+        distinct, so two with one source and label differ in target)."""
+        return len({(s, a) for s, _, a in self.edges}) == len(self.edges)
 
     def __repr__(self) -> str:
         return (f"LabeledGraph({self.n_vertices} vertices, "
@@ -148,9 +145,12 @@ def essentialize(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     """Largest subgraph where every vertex has an in- and an out-edge.
 
     Returns (graph, old_vertex_of_new).  The result presents the same set
-    of bi-infinite label sequences; it may be empty.
+    of bi-infinite label sequences; it may be empty.  When the peel removes
+    nothing, the graph returned is ``g`` itself with the identity map.
     """
     alive = core_vertices(g.n_vertices, g.edges)
+    if all(alive):
+        return g, list(range(g.n_vertices))
     return subgraph(g, [v for v in range(g.n_vertices) if alive[v]])
 
 
@@ -276,10 +276,8 @@ def directed_diameter(g: LabeledGraph) -> int:
 def block_name(alphabet: Alphabet, ranks: tuple[int, ...]) -> str:
     """Display name of a block of symbols; concatenated when the base
     symbols are single characters, comma-joined otherwise."""
-    parts = [alphabet.symbols[r] for r in ranks]
-    if all(len(p) == 1 for p in parts):
-        return "".join(parts)
-    return ",".join(parts)
+    sep = "" if alphabet._single else ","  # type: ignore[attr-defined]
+    return sep.join(map(alphabet.symbols.__getitem__, ranks))
 
 
 def path_graph(g: LabeledGraph, k: int) -> tuple[LabeledGraph, tuple[tuple[int, ...], ...]]:
@@ -330,20 +328,29 @@ def refine_classes(trans) -> tuple[list[int], int]:
     (``trans[q][a]`` a state or -1) in which equivalent states have the same
     defined symbols and move to equivalent states on each.
 
-    Moore refinement from the single all-states class.  Returns
-    (class_of_state, class_count), classes numbered by least member.
+    Moore refinement from the single all-states class.  The table is read
+    once as columns, one per symbol.  A round gathers each column through
+    the current classes (``map(cls.__getitem__, col)``, with one trailing
+    slot so that an undefined move reads -1) and zips the class column with
+    the gathered ones into per-state signatures; ``dict.fromkeys`` keeps the
+    distinct signatures in order of first occurrence, which numbers the new
+    classes by least member.  Rounds stop when the class count stops
+    growing.  Returns (class_of_state, class_count).
     """
     n = len(trans)
-    # one trailing slot so that cls[-1] reads an undefined transition as -1
+    if n == 0:
+        return [], 0
+    cols = list(zip(*trans))
     cls = [0] * n + [-1]
-    nc = 1 if n else 0
+    nc = 1
     while True:
-        sig: dict[tuple, int] = {}
-        new = [sig.setdefault((cls[q], tuple(cls[t] for t in row)), len(sig))
-               for q, row in enumerate(trans)]
-        if len(sig) == nc:
+        sigs = list(zip(cls, *[map(cls.__getitem__, col) for col in cols]))
+        ids = dict(zip(dict.fromkeys(sigs), range(n)))
+        if len(ids) == nc:
             return cls[:n], nc
-        cls, nc = new + [-1], len(sig)
+        cls = list(map(ids.__getitem__, sigs))
+        cls.append(-1)
+        nc = len(ids)
 
 
 def follower_reduce(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:

@@ -309,13 +309,15 @@ def _sync_fail(x: Shift):
         f"(irreducible: {is_irreducible(x).verdict})")
 
 
-def synchronized_cover(x: Shift) -> tuple[LabeledGraph, list[int], SyncWitness]:
+def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
+                                          SyncWitness]:
     """The strongly connected component of the sync target, as a graph.
 
-    Returns (cover, original automaton state ids, sync witness recomputed
-    inside the cover).  For an irreducible shift the cover presents the
-    same language, strongly connected and right-resolving; diameters and
-    cycle gcds are measured on it.  Memoised on ``x``.
+    Returns (cover, original automaton state ids as a tuple, sync witness
+    recomputed inside the cover).  For an irreducible shift the cover
+    presents the same language, strongly connected and right-resolving;
+    diameters and cycle gcds are measured on it.  Memoised on ``x``, so the
+    results are shared and immutable.
     """
     return x.derived("cover", _synchronized_cover)
 
@@ -335,7 +337,7 @@ def _synchronized_cover(x: Shift):
     ranks, q_local = res
     inner = SyncWitness(x.alphabet.word_from_ranks(ranks), old[q_local],
                         len(ranks))
-    return cover, old, inner
+    return cover, tuple(old), inner
 
 
 def is_mixing(x: Shift) -> MixingReport:
@@ -369,13 +371,14 @@ def _mixing(x: Shift) -> MixingReport:
                         note=f"period {g}")
 
 
-def _period_classes(cover: LabeledGraph, old: list[int], g: int) -> list[list[int]]:
+def _period_classes(cover: LabeledGraph, old: tuple[int, ...], g: int
+                    ) -> tuple[tuple[int, ...], ...]:
     """Vertices of the cover split by path-length residue mod the period."""
     lvl = bfs_levels(cover.out_map(), 0)
     classes: list[list[int]] = [[] for _ in range(g)]
     for v in range(cover.n_vertices):
         classes[lvl[v] % g].append(old[v])
-    return classes
+    return tuple(map(tuple, classes))
 
 
 def si_certificate(x: Shift) -> SiCertificate:

@@ -2,19 +2,23 @@
 
 A :class:`Shift` is built either from a finite set of forbidden words (a
 subshift of finite type) or from an arbitrary labeled graph (a sofic
-subshift).  Construction eagerly canonicalizes: an essential presentation,
-a right-resolving reduced presentation, and a minimal acceptor of the block
-language are all cached on the instance, and every later query runs against
-these.  Both derived objects come from one subset construction (Lind &
-Marcus, *Symbolic Dynamics and Coding*, 3.3-3.4), see
-:func:`determinize_minimize`.  The canonical objects are fixed at
-construction; derived invariants (irreducibility data, synchronized cover,
-mixing report, gap certificate, spectral entropy) are memoised on the
-instance on first use, see :meth:`Memo.derived`.
+subshift).  A forbidden-word spec becomes a vertex-per-block graph
+(:func:`sft_to_graph`), whose blocks are screened by an Aho-Corasick
+matcher of the forbidden words (Aho & Corasick, "Efficient string
+matching", CACM 18(6), 1975).  Construction eagerly canonicalizes: an
+essential presentation, a right-resolving reduced presentation, and a
+minimal acceptor of the block language are all cached on the instance, and
+every later query runs against these.  Both derived objects come from one
+subset construction (Lind & Marcus, *Symbolic Dynamics and Coding*,
+3.3-3.4), see :func:`determinize_minimize`.  The canonical objects are
+fixed at construction; derived invariants (irreducibility data,
+synchronized cover, mixing report, gap certificate, spectral entropy) are
+memoised on the instance on first use, see :meth:`Memo.derived`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import dfa as _dfa
@@ -54,40 +58,85 @@ class SftSpec:
         return max((len(w) for w in self.forbidden), default=1)
 
 
+def _forbidden_matcher(bad: list[tuple[int, ...]], na: int
+                       ) -> tuple[list[list[int]], list[bool]]:
+    """Aho-Corasick automaton of the forbidden words: a total move table
+    over the trie of their prefixes, and the terminal flags.
+
+    State s after reading a word stands for the longest suffix of that word
+    which is a prefix of some forbidden word; s is terminal exactly when
+    some forbidden word is a suffix of the word read.  The failure link of
+    a trie node is the state of its longest proper suffix, and filling the
+    missing moves through it, in breadth-first order, makes the table total
+    (Aho & Corasick, CACM 18(6), 1975).
+    """
+    move = [[-1] * na]
+    term = [False]
+    for f in bad:
+        s = 0
+        for a in f:
+            if move[s][a] == -1:
+                move[s][a] = len(move)
+                move.append([-1] * na)
+                term.append(False)
+            s = move[s][a]
+        term[s] = True
+    fail = [0] * len(move)
+    queue: deque[int] = deque()
+    for a, t in enumerate(move[0]):
+        if t == -1:
+            move[0][a] = 0
+        else:
+            queue.append(t)
+    while queue:
+        s = queue.popleft()
+        f = move[fail[s]]
+        term[s] = term[s] or term[fail[s]]
+        row = move[s]
+        for a, t in enumerate(row):
+            if t == -1:
+                row[a] = f[a]
+            else:
+                fail[t] = f[a]
+                queue.append(t)
+    return move, term
+
+
 def sft_to_graph(spec: SftSpec, cap: int = _STATE_CAP) -> LabeledGraph:
     """Vertex-per-block presentation of the SFT.
 
     Vertices are the words of length ``window - 1`` containing no forbidden
-    factor; an edge ``u -> v`` labeled ``a`` exists when ``v`` is ``u·a``
-    minus its first symbol and no forbidden word is a suffix of ``u·a``.
-    The result presents exactly the SFT once essentialized, and is
-    right-resolving by construction.
+    factor, in lexicographic order of ranks; an edge ``u -> v`` labeled
+    ``a`` exists when ``v`` is ``u·a`` minus its first symbol and no
+    forbidden word is a suffix of ``u·a``.  The result presents exactly the
+    SFT once essentialized, and is right-resolving by construction.
+
+    Each block carries the state the Aho-Corasick matcher of the forbidden
+    words reaches on it (Aho & Corasick, CACM 18(6), 1975), so an
+    extension is blocked exactly when the next state is terminal: one table
+    lookup per extension.  Each block also carries its number in base
+    ``|A|``, so the target of an edge is the extended number modulo
+    ``|A|^(window-1)``.
     """
     m = spec.window
     na = len(spec.alphabet)
-    bad = [w.ranks() for w in spec.forbidden]
-
-    def blocked(word: tuple[int, ...]) -> bool:
-        # appending to an already-clean prefix can only introduce a
-        # forbidden factor as a suffix
-        return any(len(f) <= len(word) and word[len(word) - len(f):] == f
-                   for f in bad)
-
-    verts: list[tuple[int, ...]] = [()]
+    move, term = _forbidden_matcher([w.ranks() for w in spec.forbidden], na)
+    # appending to an already-clean block can only introduce a forbidden
+    # factor as a suffix, which the next state's terminal flag records
+    level = [((), 0, 0)]  # (block, its number, matcher state)
     for _ in range(m - 1):
-        verts = [w + (a,) for w in verts for a in range(na)
-                 if not blocked(w + (a,))]
-        if len(verts) > cap:
+        level = [(w + (a,), code * na + a, t) for w, code, s in level
+                 for a, t in enumerate(move[s]) if not term[t]]
+        if len(level) > cap:
             raise StateBlowup(f"SFT presentation exceeds {cap} vertices")
-    vid = {w: i for i, w in enumerate(verts)}
-    edges = []
-    for w in verts:
-        for a in range(na):
-            ext = w + (a,)
-            if not blocked(ext):
-                edges.append((vid[w], vid[ext[1:] if m > 1 else ()], a))
-    names = tuple(block_name(spec.alphabet, w) if w else "^" for w in verts)
-    return LabeledGraph(spec.alphabet, len(verts), tuple(edges), names)
+    size = na ** (m - 1)
+    vid = {code: i for i, (_, code, _) in enumerate(level)}
+    edges = [(i, vid[(code * na + a) % size], a)
+             for i, (_, code, s) in enumerate(level)
+             for a, t in enumerate(move[s]) if not term[t]]
+    names = tuple(block_name(spec.alphabet, w) if w else "^"
+                  for w, _, _ in level)
+    return LabeledGraph(spec.alphabet, len(level), tuple(edges), names)
 
 
 def determinize_minimize(ge: LabeledGraph, cap: int = _STATE_CAP

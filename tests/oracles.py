@@ -2,9 +2,11 @@
 
 Everything here favors transparency over speed: explicit word enumeration,
 per-pair set reachability, direct preimage search, frozenset closures and
-one breadth-first search per source.  None of it shares algorithmic
+one breadth-first search per source, a suffix scan over the forbidden
+words, and Myhill-Nerode table filling.  None of it shares algorithmic
 machinery with the code under test (which uses joint bitmask evolution,
-vectorised preimages, product automata, and matrix counting).  Most
+vectorised preimages, product automata, matrix counting, an Aho-Corasick
+matcher and Moore refinement).  Most
 oracles still read membership through ``x.contains_word``, that is through
 the minimal acceptor; :func:`origin_contains` reads only the description
 the shift was built from, so it also checks canonicalization itself.
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import itertools
 
+from soficlab.errors import StateBlowup
+from soficlab.graph import LabeledGraph
 from soficlab.shift import SftSpec
 
 
@@ -280,3 +284,71 @@ def diameter_by_bfs(g):
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+def sft_graph_by_suffix_scan(spec, cap):
+    """Vertex-per-block presentation of an SFT, built level by level: a
+    block is extended by a symbol unless some forbidden word is a suffix of
+    the extension, each forbidden word tested in turn.  Vertices are the
+    clean blocks of length ``window - 1`` in lexicographic order, named by
+    their symbols (concatenated when every symbol is one character,
+    comma-joined otherwise; ``^`` for the empty block); raises StateBlowup
+    when a level exceeds ``cap`` blocks."""
+    m = spec.window
+    na = len(spec.alphabet)
+    bad = [w.ranks() for w in spec.forbidden]
+
+    def blocked(word):
+        return any(len(f) <= len(word) and word[len(word) - len(f):] == f
+                   for f in bad)
+
+    verts = [()]
+    for _ in range(m - 1):
+        verts = [w + (a,) for w in verts for a in range(na)
+                 if not blocked(w + (a,))]
+        if len(verts) > cap:
+            raise StateBlowup(f"SFT presentation exceeds {cap} vertices")
+    vid = {w: i for i, w in enumerate(verts)}
+    edges = []
+    for w in verts:
+        for a in range(na):
+            ext = w + (a,)
+            if not blocked(ext):
+                edges.append((vid[w], vid[ext[1:] if m > 1 else ()], a))
+    syms = spec.alphabet.symbols
+    sep = "" if all(len(x) == 1 for x in syms) else ","
+    names = tuple(sep.join(syms[r] for r in w) if w else "^" for w in verts)
+    return LabeledGraph(spec.alphabet, len(verts), tuple(edges), names)
+
+
+def nerode_classes(trans):
+    """Classes of states of a partial transition table with equal sets of
+    readable words, by table filling: a pair is distinguished when one
+    state reads a symbol the other does not, or when a common symbol leads
+    to a distinguished pair; repeat until no pair is added.  Classes are
+    numbered by least member.  Returns (class_of_state, class_count)."""
+    n = len(trans)
+    dist = [[False] * n for _ in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(n):
+                if dist[p][q]:
+                    continue
+                for tp, tq in zip(trans[p], trans[q]):
+                    if (tp == -1) != (tq == -1) or (
+                            tp != -1 and dist[tp][tq]):
+                        dist[p][q] = True
+                        changed = True
+                        break
+    cls = []
+    count = 0
+    for q in range(n):
+        p = next(p for p in range(q + 1) if not dist[p][q])
+        if p == q:
+            cls.append(count)
+            count += 1
+        else:
+            cls.append(cls[p])
+    return cls, count

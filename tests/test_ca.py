@@ -278,8 +278,9 @@ class TestGenerators:
         assert len(t.table) == 8 and set(t.table) <= {"a", "b", "c"}
 
     def test_width_cap(self, full2):
+        # 2**23 entries exceed the 2**22 table cap
         with pytest.raises(TableTooLarge):
-            random_ca(full2.alphabet, full2.alphabet, (0, 5), seed=1)
+            random_ca(full2.alphabet, full2.alphabet, (0, 22), seed=1)
 
     def test_bundled_rule_binding(self, full2):
         t = bundled_ca("xor", full2)

@@ -1,27 +1,31 @@
 """Differential tests of canonicalization against an oracle that reads only
 ``Shift.origin``: random small graphs and random forbidden-word sets.  The
 bitmask joinability kernels (backward family, gap test, diameter) are
-checked the same way against transparent set-based oracles."""
+checked the same way against transparent set-based oracles, and the
+canonicalization kernels (Aho-Corasick block presentation, Moore
+refinement, the peel that removes nothing) against a suffix scan and table
+filling."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soficlab import (Alphabet, LabeledGraph, Shift, equal_shifts,
                       is_irreducible)
 from soficlab.ca import image_presentation, random_ca
 from soficlab.cli import main
-from soficlab.dfa import (FactorialDfa, backward_subsets, determinize,
-                          minimize, word_counts)
-from soficlab.errors import CapExceeded
-from soficlab.graph import directed_diameter, follower_reduce
+from soficlab.dfa import (_STATE_CAP, FactorialDfa, backward_subsets,
+                          determinize, minimize, word_counts)
+from soficlab.errors import CapExceeded, StateBlowup
+from soficlab.graph import (directed_diameter, essentialize, follower_reduce,
+                            refine_classes)
 from soficlab.props import _Joinability
-from soficlab.shift import sft_to_graph
+from soficlab.shift import SftSpec, sft_to_graph
 
 from oracles import (backward_family, diameter_by_bfs, first_missed,
-                     origin_contains)
+                     nerode_classes, origin_contains, sft_graph_by_suffix_scan)
 
 _ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
 _MAX_LEN = {2: 6, 3: 4}  # longest word checked exhaustively
@@ -201,6 +205,13 @@ class TestFormerBlowups:
         out = capsys.readouterr().out
         assert "#: summary shift=full2 kept=5 skipped=0 contradictions=0" in out
 
+    def test_width5_corpus_command(self, capsys):
+        # width 5 is bounded by the table cap alone (2**5 entries)
+        assert main(["corpus", "--shift", "full2", "--count", "5",
+                     "--seed", "0", "--memory", "0..4"]) == 0
+        out = capsys.readouterr().out
+        assert "#: summary shift=full2 kept=5 skipped=0 contradictions=0" in out
+
 
 @st.composite
 def partial_dfas(draw):
@@ -289,3 +300,85 @@ class TestJoinabilityKernels:
             directed_diameter(LabeledGraph(a, 2, ((0, 1, 0),)))
         with pytest.raises(ValueError):
             directed_diameter(LabeledGraph(a, 2, ((0, 0, 0), (1, 1, 0))))
+
+
+_SPEC_SYMBOLS = (("0",), ("0", "1"), ("0", "1", "2"), ("a", "bb", "c1"))
+_SPEC_LONGEST = {1: 10, 2: 10, 3: 6}  # longest forbidden word, so window
+
+
+@st.composite
+def sft_specs(draw):
+    """Forbidden-word specs over 1-3 letters or multi-character symbols,
+    windows up to 10, with the empty set, one-letter words and redundant
+    words (a drawn word extended on both sides) all in reach."""
+    symbols = draw(st.sampled_from(_SPEC_SYMBOLS))
+    k, longest = len(symbols), _SPEC_LONGEST[len(symbols)]
+    letters = st.lists(st.integers(0, k - 1), max_size=longest)
+    words = draw(st.lists(letters.filter(bool), max_size=6))
+    if words and draw(st.booleans()):
+        left, right = draw(letters), draw(letters)
+        ext = left + draw(st.sampled_from(words)) + right
+        words.append(ext[:longest])
+    alpha = Alphabet(symbols)
+    return SftSpec(alpha, tuple(alpha.word_from_ranks(w) for w in words))
+
+
+@st.composite
+def partial_tables(draw):
+    """Partial transition tables on 0..9 states over 1-3 symbols; rows
+    with no defined move come up often."""
+    n = draw(st.integers(0, 9))
+    k = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-1, n - 1)] * k)
+    return [draw(st.one_of(st.just((-1,) * k), row)) for _ in range(n)]
+
+
+class TestCanonicalizationKernels:
+    """The block presentation against a forbidden-word suffix scan, Moore
+    refinement against Myhill-Nerode table filling, and the peel that has
+    nothing to remove."""
+
+    @given(sft_specs(), st.one_of(st.none(), st.integers(0, 40)))
+    @settings(max_examples=150, deadline=None)
+    def test_sft_to_graph(self, spec, cap):
+        cap = _STATE_CAP if cap is None else cap
+        try:
+            expected = sft_graph_by_suffix_scan(spec, cap)
+        except StateBlowup as exc:
+            with pytest.raises(StateBlowup) as info:
+                sft_to_graph(spec, cap)
+            assert str(info.value) == str(exc)
+        else:
+            assert sft_to_graph(spec, cap) == expected
+
+    def test_sft_to_graph_by_hand(self):
+        a = _ALPHABETS[2]
+        g = sft_to_graph(SftSpec(a, ()))
+        assert (g.n_vertices, g.edges, g.vertex_names) == (
+            1, ((0, 0, 0), (0, 0, 1)), ("^",))
+        g = sft_to_graph(SftSpec(a, (a.word("1"),)))
+        assert g.edges == ((0, 0, 0),)
+        multi = Alphabet(("a", "bb"))
+        g = sft_to_graph(SftSpec(multi, (multi.word(["bb", "bb", "a"]),)))
+        assert g.vertex_names == ("a,a", "a,bb", "bb,a", "bb,bb")
+        assert (3, 2, 0) not in g.edges and (3, 3, 1) in g.edges
+        with pytest.raises(StateBlowup, match="exceeds 3 vertices"):
+            sft_to_graph(SftSpec(a, (a.word("111"),)), cap=3)
+
+    @given(partial_tables())
+    @settings(max_examples=200, deadline=None)
+    @example([])
+    @example([(-1,), (-1,), (-1,)])
+    @example([(1,), (2,), (-1,)])
+    @example([(-1, -1), (0, 1), (-1, -1), (2, 3)])
+    def test_refine_classes(self, trans):
+        assert refine_classes(trans) == nerode_classes(trans)
+
+    def test_essentialize_keeps_an_essential_graph(self, golden):
+        g = golden.essential
+        assert essentialize(g)[0] is g
+        assert essentialize(g)[1] == list(range(g.n_vertices))
+        # a loop at 1 fed from a source 0: only the loop is essential
+        g = LabeledGraph(_ALPHABETS[2], 2, ((0, 1, 0), (1, 1, 1)))
+        h, old = essentialize(g)
+        assert (h.n_vertices, h.edges, old) == (1, ((0, 0, 1),), [1])
