@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 from .base import (_TABLE_CAP, Alphabet, CellularAutomaton, ConfigurationWindow,
                    Decision, Word)
+from .dfa import shortest_words, state_after
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import (AlphabetMismatch, NoSyncWord, NotEndomorphism,
-                     NotIntoTarget, NotMixing, TableTooLarge, WordTooShort)
-from .graph import LabeledGraph, core_vertices, path_graph
+                     NotIntoTarget, TableTooLarge, WordTooShort)
+from .graph import LabeledGraph, core_vertices, path_graph, transition_rows
 from .props import is_strongly_irreducible, synchronized_cover
 from .shift import Shift, equal_shifts, language_included
 
@@ -91,6 +92,9 @@ def _recode(t: CellularAutomaton, x: Shift):
     a presentation of ``x``, the blocks, and the output rank of each."""
     if t.source != x.alphabet:
         raise AlphabetMismatch("the rule reads a different alphabet")
+    if x.is_empty:
+        # no blocks, so no block alphabet: the image is the empty shift
+        return LabeledGraph(x.alphabet, 0, ()), (), ()
     base = x.essential if x.window is not None else x.deterministic
     pg, blocks = path_graph(base, t.width)
     out = _output_ranks(t)
@@ -240,38 +244,16 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
         cover, old, inner = synchronized_cover(x)
     except NoSyncWord:
         return None
-    rows = [[-1] * len(x.alphabet) for _ in range(cover.n_vertices)]
-    for s, d, a in cover.edges:
-        rows[s][a] = d
+    rows = transition_rows(cover)
     q0 = old.index(inner.vertex)
     u0 = inner.word.ranks()
-
-    def run(state: int, ranks) -> int:
-        for a in ranks:
-            state = rows[state][a]
-            if state == -1:
-                return -1
-        return state
-
-    # shortest s with q0 --s--> p and p reads u0 (BFS, lex-least)
-    seen = {q0: ()}
-    frontier = [q0]
-    tail = None
-    while frontier and tail is None:
-        nxt = []
-        for p in frontier:
-            if run(p, u0) != -1:
-                tail = seen[p] + tuple(u0)
-                break
-            for a in range(len(x.alphabet)):
-                d = rows[p][a]
-                if d != -1 and d not in seen:
-                    seen[d] = seen[p] + (a,)
-                    nxt.append(d)
-        frontier = nxt
+    # the (length, lex)-least s with q0 --s--> p where p reads u0
+    tail = next((s + u0 for p, s in shortest_words(rows, q0).items()
+                 if state_after(rows, u0, p) != -1), None)
     if tail is None:
         return None
-    lam = tail if tail else _self_loop(rows, q0)
+    lam = tail or next(((a,) for a, d in enumerate(rows[q0]) if d == q0),
+                       None)
     if lam is None:
         return None
     k = t.width
@@ -286,7 +268,7 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
             return None  # search stays bounded; verdict stays hedged
         groups: dict[tuple, tuple] = {}
         for u, p in level:
-            if run(p, tail) == -1:
+            if state_after(rows, tail, p) == -1:
                 continue
             w = pad + u + tail + pad
             img = tuple(out[t.block_rank(w[i:i + k])]
@@ -301,13 +283,6 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
             groups.setdefault(img, u)
         level = [(u + (a,), rows[p][a]) for u, p in level
                  for a in range(len(alphabet)) if rows[p][a] != -1]
-    return None
-
-
-def _self_loop(rows, q0: int):
-    for a in range(len(rows[q0])):
-        if rows[q0][a] == q0:
-            return (a,)
     return None
 
 

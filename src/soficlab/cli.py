@@ -9,23 +9,23 @@ implication (which indicates an implementation bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 
 from .base import CellularAutomaton
 from .bundled import bundled_raw_ca, bundled_shift
-from .ca import (check_entropy_preservation, check_myhill, is_injective,
-                 is_pre_injective, is_surjective)
+from .ca import check_entropy_preservation, check_myhill, is_injective
 from .corpus import flag, instance_lines, run_bundled_examples, run_corpus
 from .entropy import entropy_blocks, entropy_spectral
 from .errors import (CapExceeded, EmptyShift, NotEndomorphism, NotMixing,
                      ParseError, SoficlabError)
 from .props import (is_irreducible, is_mixing, is_strongly_irreducible,
-                    minimal_gap, si_certificate)
+                    minimal_gap)
 from .shift import Shift
 from .shiftio import bind_ca, parse_ca_file, parse_shift_file
-from .tiling import pattern_exclusion_bound, tiling_Z, tiling_density, TilingSpec
+from .tiling import pattern_exclusion_bound, tiling_Z, tiling_density
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,10 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every later
+    one (parsing does not change it)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,7 +75,10 @@ def _run_instance(x: Shift, seed: int, memory: tuple[int, int],
     stretch = t.width - 1
     cx = word_counts(x.acceptor, _COUNT_N + stretch)
     ci = word_counts(img.acceptor, _COUNT_N)
-    counting_ok = all(ci[n] <= cx[n + stretch] for n in range(_COUNT_N + 1))
+    # from n = 1: the image always has the empty word, while an empty
+    # domain has no word of length ``stretch``
+    counting_ok = all(ci[n] <= cx[n + stretch]
+                      for n in range(1, _COUNT_N + 1))
     image_si = None
     if check_image_si and not img.is_empty:
         image_si = is_strongly_irreducible(img).verdict

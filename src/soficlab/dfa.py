@@ -67,12 +67,7 @@ class FactorialDfa:
 
     def state_after(self, ranks, start: int = 0) -> int:
         """End state of the run, or -1 if it falls off."""
-        q = start
-        for a in ranks:
-            q = self.trans[q][a]
-            if q == -1:
-                return -1
-        return q
+        return state_after(self.trans, ranks, start)
 
     def defined(self, ranks, start: int = 0) -> bool:
         return self.state_after(ranks, start) != -1
@@ -180,14 +175,30 @@ def word_counts(d: FactorialDfa, n_max: int) -> list[int]:
     return counts
 
 
-def count_matrix(d: FactorialDfa) -> list[list[int]]:
-    """M[q][t] = number of symbols taking q to t."""
-    m = [[0] * d.n_states for _ in range(d.n_states)]
-    for q, row in enumerate(d.trans):
-        for t in row:
-            if t != -1:
-                m[q][t] += 1
-    return m
+def state_after(trans, ranks, start: int = 0) -> int:
+    """End state of the run of ``ranks`` from ``start`` in a partial table
+    (``trans[q][a]`` a state or -1), or -1 if it falls off."""
+    q = start
+    for a in ranks:
+        q = trans[q][a]
+        if q == -1:
+            return -1
+    return q
+
+
+def shortest_words(trans, start: int = 0) -> dict[int, tuple[int, ...]]:
+    """The (length, lex)-least word leading from ``start`` to each state it
+    reaches in a partial table.  Breadth-first in symbol-rank order, so the
+    states are keyed in the (length, lex) order of their words."""
+    words = {start: ()}
+    order = [start]
+    for q in order:
+        w = words[q]
+        for a, t in enumerate(trans[q]):
+            if t != -1 and t not in words:
+                words[t] = w + (a,)
+                order.append(t)
+    return words
 
 
 def enumerate_ranks(d: FactorialDfa, length: int,

@@ -17,10 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dfa import count_matrix, to_graph, word_counts
+from .dfa import word_counts
 from .errors import CapExceeded, NotMixing, NotSubshift
-from .graph import strongly_connected_components
-from .props import si_certificate
+from .props import _condensation, si_certificate
 from .shift import Shift, language_included
 from .base import Decision
 
@@ -158,14 +157,22 @@ def entropy_spectral(x: Shift, tol: float = 1e-9) -> EntropyEstimate:
 
 
 def _entropy_spectral(x: Shift, tol: float) -> EntropyEstimate:
+    """The count matrix of the acceptor is block triangular over its
+    condensation, so its Perron root is the largest over the diagonal
+    blocks (Lind & Marcus, *Symbolic Dynamics and Coding*, 4.4).  Each
+    component's integer count block is read from ``acceptor.trans``:
+    entry (i, j) counts the symbols taking its i-th state to its j-th."""
     if x.is_empty:
         return EntropyEstimate(0.0, "spectral", {"degenerate": "empty"}, 0.0)
-    d = x.acceptor
-    mat = count_matrix(d)
-    comps = strongly_connected_components(to_graph(d))
+    trans = x.acceptor.trans
     best_lo, best_hi, total_it, best_size = 0.0, 0.0, 0, 0
-    for comp in comps:
-        rows = [[mat[q][t] for t in comp] for q in comp]
+    for comp in _condensation(x):
+        pos = {q: i for i, q in enumerate(comp)}
+        rows = [[0] * len(comp) for _ in comp]
+        for row, q in zip(rows, comp):
+            for t in trans[q]:
+                if t in pos:
+                    row[pos[t]] += 1
         if len(comp) == 1 and rows[0][0] == 0:
             continue
         lo, hi, it = _component_bracket(rows, tol)

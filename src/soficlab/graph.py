@@ -353,6 +353,15 @@ def refine_classes(trans) -> tuple[list[int], int]:
         nc = len(ids)
 
 
+def transition_rows(g: LabeledGraph) -> list[list[int]]:
+    """The partial transition table of a right-resolving graph:
+    ``rows[s][a]`` is the target of the edge labeled a out of s, or -1."""
+    rows = [[-1] * len(g.alphabet) for _ in range(g.n_vertices)]
+    for s, d, a in g.edges:
+        rows[s][a] = d
+    return rows
+
+
 def follower_reduce(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     """Merge vertices with equal follower sets (equal finite-word languages).
 
@@ -364,10 +373,7 @@ def follower_reduce(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     if not g.is_right_resolving():
         raise ValueError("follower_reduce needs a right-resolving graph")
     n = g.n_vertices
-    trans = [[-1] * len(g.alphabet) for _ in range(n)]
-    for s, d, a in g.edges:
-        trans[s][a] = d
-    cls, nclasses = refine_classes(trans)
+    cls, nclasses = refine_classes(transition_rows(g))
     edges = {(cls[s], cls[d], a) for s, d, a in g.edges}
     names = None
     if g.vertex_names is not None:

@@ -13,11 +13,13 @@ reachability data evolves through a finite space, so it is eventually
 periodic; detecting the cycle turns "for all N >= N0" into an exact check.
 
 Each invariant is computed once per Shift and memoised on it (see
-:meth:`Shift.derived`): the joinability data (reach closure, backward
+:meth:`Memo.derived`): the condensation of the acceptor (its strongly
+connected components, which the reach closure, the synchronized cover and
+spectral entropy all read), the joinability data (reach closure, backward
 family, state labels), the synchronized cover, the mixing report and the
 gap certificate.  All state sets are bitmasks.  The reach closure takes one
-pass over the strongly connected components of the acceptor, sinks first;
-the backward family comes from vectorised preimages
+pass over the condensation, sinks first; the backward family comes from
+vectorised preimages
 (:func:`backward_subsets`).  The gap evolution ORs successor rows, one step
 per gap length, and tests each distinct row once, against the
 inclusion-minimal backward sets; only a row that misses one scans the
@@ -30,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import ConfigurationWindow, Decision, Word
-from .dfa import FactorialDfa, backward_subsets, shortest_sync, to_graph
+from .dfa import (FactorialDfa, backward_subsets, shortest_sync,
+                  shortest_words, to_graph)
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, bfs_levels, cycle_gcd, directed_diameter,
-                    strongly_connected_components, subgraph, successor_rows)
+                    strongly_connected_components, subgraph, successor_rows,
+                    transition_rows)
 from .shift import Shift
 
 _GAP_CAP = 256
@@ -124,22 +128,11 @@ class GlueRequest:
 
 # ---------------------------------------------------------------- helpers
 
-def _shortest_words_to_states(d: FactorialDfa) -> list[tuple[int, ...]]:
-    """Lexicographically least shortest word reaching each state from 0."""
-    na = len(d.alphabet)
-    words: list[tuple[int, ...] | None] = [None] * d.n_states
-    words[0] = ()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for a in range(na):
-                t = d.trans[q][a]
-                if t != -1 and words[t] is None:
-                    words[t] = words[q] + (a,)
-                    nxt.append(t)
-        frontier = nxt
-    return words  # type: ignore[return-value]
+def _condensation(x: Shift) -> list[list[int]]:
+    """Strongly connected components of the acceptor, sinks first (see
+    :func:`strongly_connected_components`); memoised on ``x``."""
+    return x.derived("condensation", lambda y: strongly_connected_components(
+        to_graph(y.acceptor)))
 
 
 def _post_all_masks(d: FactorialDfa) -> list[int]:
@@ -173,36 +166,33 @@ def _reading_states_mask(d: FactorialDfa, ranks) -> int:
     return mask
 
 
-def _pair_gap_floor(d: FactorialDfa, s: int, r_mask: int,
-                    cap: int) -> tuple[int | None, int | None]:
-    """Least n0 such that the pair (state s, reading-set r_mask) can be
-    bridged at every gap length >= n0.
+def _eventual_tail(state, step, failure, cap: int, what: str):
+    """Least n0 such that ``failure`` is falsy at every step n >= n0 of the
+    orbit state, step(state), ...
 
-    Returns (n0, None) on success, (None, failing_N) when bridging fails
-    at arbitrarily large N (the failure repeats with the cycle).  Raises
-    CapExceeded when the reachable-set evolution does not close within cap
-    steps or n0 would exceed cap.
+    The orbit lives in a finite space, so it is evolved until a value
+    repeats (CapExceeded, naming ``what``, when that takes over ``cap``
+    steps); from then on it cycles.  A failure inside the cycle recurs
+    forever: the result is then (None, (n, failure, period)) for the first
+    failing step n of the cycle.  Otherwise it is (n0, None), walking back
+    from the start of the cycle over the passing steps.
     """
-    post_all = _post_all_masks(d)
-    mask = 1 << s
-    seen: dict[int, int] = {}
-    history: list[int] = []
-    while mask not in seen:
+    seen: dict = {}
+    history: list = []
+    while state not in seen:
         if len(history) > cap:
-            raise CapExceeded(f"gap evolution did not close within {cap} steps")
-        seen[mask] = len(history)
-        history.append(mask)
-        mask = _step_mask(mask, post_all)
-    pre = seen[mask]
-    ok = [bool(m & r_mask) for m in history]
+            raise CapExceeded(f"{what} did not close within {cap} steps")
+        seen[state] = len(history)
+        history.append(state)
+        state = step(state)
+    pre = seen[state]
+    fails = list(map(failure, history))
     for n in range(pre, len(history)):
-        if not ok[n]:
-            return None, n
+        if fails[n]:
+            return None, (n, fails[n], len(history) - pre)
     n0 = pre
-    while n0 > 0 and ok[n0 - 1]:
+    while n0 > 0 and not fails[n0 - 1]:
         n0 -= 1
-    if n0 > cap:
-        raise CapExceeded(f"least gap {n0} exceeds cap {cap}")
     return n0, None
 
 
@@ -227,7 +217,7 @@ class _Joinability:
         # components come sinks first, so every successor outside a
         # component already has its reach when the component is closed
         reach = [0] * d.n_states
-        for comp in strongly_connected_components(to_graph(d)):
+        for comp in _condensation(x):
             m = 0
             for q in comp:
                 m |= 1 << q
@@ -245,7 +235,7 @@ class _Joinability:
             if all(k & ~r for k in minimal):
                 minimal.append(r)
         self.minimal = minimal
-        self.labels = _shortest_words_to_states(d)
+        self.labels = shortest_words(d.trans)
         self._misses: dict[int, tuple[int, ...] | None] = {}
 
     def miss(self, mask: int) -> tuple[int, ...] | None:
@@ -324,14 +314,10 @@ def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
 
 def _synchronized_cover(x: Shift):
     w = synchronizing_word(x)
-    g = to_graph(x.acceptor)
-    comps = strongly_connected_components(g)
-    comp = next(c for c in comps if w.vertex in c)
-    cover, old = subgraph(g, comp)
-    rows = [[-1] * len(x.alphabet) for _ in range(cover.n_vertices)]
-    for s, t, a in cover.edges:
-        rows[s][a] = t
-    res = shortest_sync(rows, range(cover.n_vertices), len(x.alphabet))
+    comp = next(c for c in _condensation(x) if w.vertex in c)
+    cover, old = subgraph(to_graph(x.acceptor), comp)
+    res = shortest_sync(transition_rows(cover), range(cover.n_vertices),
+                        len(x.alphabet))
     if res is None:
         return _sync_fail(x)
     ranks, q_local = res
@@ -401,9 +387,13 @@ def _certificate(x: Shift) -> SiCertificate:
     if s == -1:
         raise NoSyncWord("sync word left the language; presentation bug")
     r_mask = _reading_states_mask(d, ranks)
-    n0, bad = _pair_gap_floor(d, s, r_mask, _GAP_CAP)
-    if n0 is None:
-        raise NotMixing(f"sync word cannot be self-bridged at gap {bad}")
+    post_all = _post_all_masks(d)
+    n0, bad = _eventual_tail(1 << s, lambda m: _step_mask(m, post_all),
+                             lambda m: not m & r_mask, _GAP_CAP,
+                             "gap evolution")
+    # the orbit closed within _GAP_CAP steps, so n0 <= _GAP_CAP
+    if bad is not None:
+        raise NotMixing(f"sync word cannot be self-bridged at gap {bad[0]}")
     l0 = sync.length
     diam = directed_diameter(cover)
     note = ""
@@ -440,18 +430,6 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     # rows[s] = states reached from s by words of the current length; one
     # more letter ORs the rows of the successors of s
     succ = [sorted({t for t in row if t != -1}) for row in x.acceptor.trans]
-    rows = tuple(1 << s for s in range(len(succ)))
-    seen: dict[tuple, int] = {}
-    history: list[tuple] = []
-    hard_cap = 4 * search_cap + 64
-    while rows not in seen:
-        if len(history) > hard_cap:
-            raise CapExceeded(
-                f"joint gap evolution did not close within {hard_cap} steps")
-        seen[rows] = len(history)
-        history.append(rows)
-        rows = successor_rows(rows, succ)
-    pre = seen[rows]
 
     def failing(step: tuple) -> tuple[int, tuple[int, ...]] | None:
         for s, m in enumerate(step):
@@ -460,18 +438,17 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
                 return s, v
         return None
 
-    ok = [failing(h) for h in history]
-    for t in range(pre, len(history)):
-        if ok[t] is not None:
-            s, v = ok[t]
-            u = x.alphabet.word_from_ranks(data.labels[s])
-            raise NotMixing(
-                f"no uniform gap: u={u.text!r} cannot reach "
-                f"v={x.alphabet.word_from_ranks(v).text!r} at gap {t} "
-                f"(recurs with period {len(history) - pre})")
-    n0 = pre
-    while n0 > 0 and ok[n0 - 1] is None:
-        n0 -= 1
+    hard_cap = 4 * search_cap + 64
+    n0, bad = _eventual_tail(tuple(1 << s for s in range(len(succ))),
+                             lambda rows: successor_rows(rows, succ), failing,
+                             hard_cap, "joint gap evolution")
+    if bad is not None:
+        t, (s, v), period = bad
+        u = x.alphabet.word_from_ranks(data.labels[s])
+        raise NotMixing(
+            f"no uniform gap: u={u.text!r} cannot reach "
+            f"v={x.alphabet.word_from_ranks(v).text!r} at gap {t} "
+            f"(recurs with period {period})")
     if n0 > search_cap:
         raise CapExceeded(f"least uniform gap {n0} exceeds cap {search_cap}")
     return n0
@@ -496,22 +473,15 @@ def gap_witness(x: Shift, u, v, gap: int) -> Word | None:
         raise WordNotInLanguage(f"{v.text!r} is not in the language")
     r_mask = _reading_states_mask(d, v_ranks)
     # backward feasibility layers: states that can still reach r_mask
-    pre_all = [[] for _ in range(d.n_states)]
+    pre_all = [0] * d.n_states
     for q, row in enumerate(d.trans):
-        for a, t in enumerate(row):
+        for t in row:
             if t != -1:
-                pre_all[t].append(q)
+                pre_all[t] |= 1 << q
     feasible = [0] * (gap + 1)
     feasible[gap] = r_mask
     for i in range(gap - 1, -1, -1):
-        m = 0
-        cur = feasible[i + 1]
-        while cur:
-            lsb = cur & -cur
-            for q in pre_all[lsb.bit_length() - 1]:
-                m |= 1 << q
-            cur ^= lsb
-        feasible[i] = m
+        feasible[i] = _step_mask(feasible[i + 1], pre_all)
     if not feasible[0] & (1 << s):
         return None
     out = []

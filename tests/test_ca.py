@@ -385,6 +385,28 @@ class TestGardenOfEdenWord:
         assert checked >= 50
 
 
+class TestSoficRefutation:
+    """The point-level search on a domain without unique presenting paths
+    (here the even shift) returns a genuine equal-image pair."""
+
+    def test_constant_rule_on_even(self, even):
+        from soficlab.ca import _sofic_refutation
+
+        t = constant_ca(even.alphabet, "0")
+        wit = _sofic_refutation(t, even, pair_graph(t, even))
+        a, b = wit.first.word, wit.second.word
+        assert (a.text, b.text, wit.image.text) == ("01100", "00000", "00000")
+        assert a != b and len(a) == len(b)
+        assert origin_contains(even, a.ranks())
+        assert origin_contains(even, b.ranks())
+        # the sync word "0" is the loop at the synchronized state and the
+        # tail, so both words are pad + middle + tail + pad with pad = "0"
+        assert a.text[:1] == b.text[:1] == "0"
+        assert a.text[-2:] == b.text[-2:] == "00"
+        assert _table_image(t, a.ranks()) == _table_image(t, b.ranks()) \
+            == wit.image.ranks()
+
+
 class TestComputedOncePerRule:
     """One (rule, domain) pair is recoded, searched and imaged once, however
     many verdicts read the results."""

@@ -221,6 +221,30 @@ class TestCliCorpus:
         assert "bad memory interval" in capsys.readouterr().err
 
 
+class TestCliEmptyDomain:
+    """Rules on the empty shift: the image is the empty shift too."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        p = tmp_path / "empty.shift"
+        p.write_text("alphabet: 0 1\nforbidden:\n0\n1\n")
+        return str(p)
+
+    def test_ca_analyze(self, capsys, empty):
+        assert main(["ca", "analyze", empty, "identity"]) == 0
+        out = capsys.readouterr().out
+        assert "#: surjective 1" in out
+        assert "#: consistent 1" in out
+
+    def test_corpus(self, capsys, empty):
+        assert main(["corpus", "--shift", empty, "--count", "3",
+                     "--memory", "0..2"]) == 0
+        out = capsys.readouterr().out
+        assert "#: 0, 1, 1, 1, 1, 0, 0" in out
+        assert f"#: summary shift={empty} kept=3 skipped=0 " \
+               "contradictions=0" in out
+
+
 class TestCliTilingLemma:
 
     def test_tiling_line(self, capsys):

@@ -301,10 +301,13 @@ class TestComputedOncePerShift:
 
     def test_shift_analyze_runs_each_invariant_once(self, tmp_path,
                                                     monkeypatch, capsys):
+        import sys
+
         import soficlab.props as props
         from soficlab.cli import main
+        from soficlab.graph import strongly_connected_components as scc
 
-        calls = {"backward_subsets": 0, "subgraph": 0}
+        calls = {"backward_subsets": 0, "subgraph": 0, "scc": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -314,12 +317,18 @@ class TestComputedOncePerShift:
 
         # in props, subgraph only cuts the synchronized cover out of the
         # acceptor graph
-        for name in calls:
+        for name in ("backward_subsets", "subgraph"):
             monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
+        # every package module that imported the condensation pass
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("soficlab") and \
+                    vars(mod).get("strongly_connected_components") is scc:
+                monkeypatch.setattr(mod, "strongly_connected_components",
+                                    counted("scc", scc))
         path = tmp_path / "even.shift"
         path.write_text("alphabet: 0 1\ngraph:\nedge 0 0 0\nedge 0 1 1\n"
                         "edge 1 0 1\n")
         assert main(["shift", "analyze", str(path),
                      "--minimal-gap", "64"]) == 0
         assert "#: minimal_gap" in capsys.readouterr().out
-        assert calls == {"backward_subsets": 1, "subgraph": 1}
+        assert calls == {"backward_subsets": 1, "subgraph": 1, "scc": 1}
