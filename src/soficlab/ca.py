@@ -86,12 +86,16 @@ class PairGraph:
         return self.base.n_vertices ** 2
 
 
+def _check_source(t: CellularAutomaton, x: Shift) -> None:
+    if t.source != x.alphabet:
+        raise AlphabetMismatch("the rule reads a different alphabet")
+
+
 @_per_domain
 def _recode(t: CellularAutomaton, x: Shift):
     """One-block form: the path graph whose edges are the width-blocks of
     a presentation of ``x``, the blocks, and the output rank of each."""
-    if t.source != x.alphabet:
-        raise AlphabetMismatch("the rule reads a different alphabet")
+    _check_source(t, x)
     if x.is_empty:
         # no blocks, so no block alphabet: the image is the empty shift
         return LabeledGraph(x.alphabet, 0, ()), (), ()
@@ -168,6 +172,7 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
     diamond is still a genuine refutation, and a clean pair graph is
     followed by a bounded point-level search around synchronized contexts.
     """
+    _check_source(t, x)
     if x.is_empty:
         return Decision(True, None, "point", note="empty domain")
     pgr = pair_graph(t, x)
@@ -297,6 +302,7 @@ def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
     whether a flagged edge survives peeling the pair graph to its
     bi-infinite core.
     """
+    _check_source(t, x)
     if x.is_empty:
         return Decision(True, None, "point", note="empty domain")
     pgr = pair_graph(t, x)

@@ -7,6 +7,19 @@ into a supermultiplicative lower bound.  Spectral route: the language grows
 like the Perron root of the minimal automaton's transition count matrix;
 power iteration yields two-sided eigenvalue bounds, hence an interval
 certified to the requested tolerance.
+
+The power iteration never forms a matrix.  Each strongly connected
+component is read from ``acceptor.trans`` as one target array per symbol,
+with a pad slot holding 0.0 for moves that are undefined or leave the
+component, so a sweep is ``v[t_0] + v[t_1] + ...``: O(n |A|) time and
+memory where a dense block costs O(n^2).  Over two letters a row of the
+product has at most two nonzero terms, each an exact product (a count of 1
+or 2 times an entry), and a sum of two floats rounds the same in either
+order, so every summation order, a dense BLAS matvec's included, gives the
+same bits.  Over three letters a row can have three terms, summed here in
+symbol order; that order is fixed, whereas a dense matvec's depends on the
+kernel the BLAS library picks, so a bracket end may differ from a dense
+run's by an ulp.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from .shift import Shift, language_included
 from .base import Decision
 
 _ITER_CAP = 200_000
+_BATCH = 8  # power sweeps per Collatz-Wielandt test
 
 
 @dataclass(frozen=True)
@@ -120,28 +134,59 @@ def entropy_blocks(x: Shift, n_max: int) -> EntropyEstimate:
     return EntropyEstimate(value, "block-count", params, err)
 
 
-def _component_bracket(m_rows: list[list[int]], tol: float) -> tuple[float, float, int]:
-    """Two-sided Perron-root bracket for an irreducible count matrix.
+def _symbol_targets(trans, comp: list[int]) -> list[np.ndarray]:
+    """One local target array per symbol for the component ``comp``.
 
-    Power iteration on M+I (primitive, so ratios converge); the bounds
-    min_i (Mv)_i/v_i <= root <= max_i (Mv)_i/v_i hold for every positive
-    vector, so each sweep yields a certified bracket.  Returns
-    (lo, hi, iterations) with log(hi/lo) <= tol.
+    Entry i of the array for symbol a is the index in ``comp`` of the
+    a-successor of the i-th state, or ``len(comp)``, the pad slot, when
+    that move is undefined or leaves the component.  The pad slot is entry
+    ``len(comp)`` of every array and moves to itself.
     """
-    n = len(m_rows)
-    if n == 1:
-        lam = float(m_rows[0][0])
-        return lam, lam, 0
-    m = np.array(m_rows, dtype=float)
-    v = np.ones(n)
-    for it in range(1, _ITER_CAP + 1):
-        mv = m @ v
-        quot = mv / v
-        lo, hi = float(quot.min()), float(quot.max())
-        if lo > 0 and math.log(hi) - math.log(lo) <= tol:
-            return lo, hi, it
-        v = mv + v
-        v /= v.max()
+    pos = {q: i for i, q in enumerate(comp)}
+    pad = len(comp)
+    return [np.array([pos.get(t, pad) for t in col] + [pad], dtype=np.intp)
+            for col in zip(*(trans[q] for q in comp))]
+
+
+def _component_bracket(targets: list[np.ndarray],
+                       tol: float) -> tuple[float, float, int]:
+    """Two-sided Perron-root bracket for an irreducible count block with
+    at least two states.
+
+    ``targets`` holds one local target array per symbol (see
+    :func:`_symbol_targets`); the block's matrix M has M[i][j] = the number
+    of symbols taking state i to state j.  Power iteration runs on M+I
+    (primitive, so the ratios converge), normalised by the maximum after
+    each sweep.  Every iterate holds 0.0 in the pad slot, so
+    ``Mv = v[t_0] + v[t_1] + ...``, summed in symbol order, costs
+    O(n |A|) per sweep.  For every positive v,
+    min_i (Mv)_i/v_i <= root <= max_i (Mv)_i/v_i (Seneta, *Non-negative
+    Matrices and Markov Chains*, Thm 1.6), so each sweep yields a
+    certified bracket.  The ratios, pad slot left out, are taken for a
+    batch of sweeps at a time; the first sweep whose bracket has
+    log(hi) - log(lo) <= tol is the one returned, as (lo, hi, iterations).
+    """
+    n = len(targets[0]) - 1
+    first, rest = targets[0], targets[1:]
+    v = np.ones(n + 1)
+    v[n] = 0.0
+    done = 0
+    while done < _ITER_CAP:
+        vs, mvs = [], []
+        for _ in range(min(_BATCH, _ITER_CAP - done)):
+            mv = v[first]
+            for t in rest:
+                mv += v[t]
+            vs.append(v)
+            mvs.append(mv)
+            v = mv + v
+            v /= v.max()
+        quot = np.array(mvs)[:, :n] / np.array(vs)[:, :n]
+        for lo, hi in zip(quot.min(axis=1).tolist(),
+                          quot.max(axis=1).tolist()):
+            done += 1
+            if lo > 0 and math.log(hi) - math.log(lo) <= tol:
+                return lo, hi, done
     raise CapExceeded(
         f"power iteration failed to certify within {_ITER_CAP} sweeps")
 
@@ -159,23 +204,24 @@ def entropy_spectral(x: Shift, tol: float = 1e-9) -> EntropyEstimate:
 def _entropy_spectral(x: Shift, tol: float) -> EntropyEstimate:
     """The count matrix of the acceptor is block triangular over its
     condensation, so its Perron root is the largest over the diagonal
-    blocks (Lind & Marcus, *Symbolic Dynamics and Coding*, 4.4).  Each
-    component's integer count block is read from ``acceptor.trans``:
-    entry (i, j) counts the symbols taking its i-th state to its j-th."""
+    blocks (Lind & Marcus, *Symbolic Dynamics and Coding*, 4.4).  A
+    one-state component's root is its number of self-loops; a larger one
+    is bracketed by :func:`_component_bracket` on its per-symbol target
+    arrays, read from ``acceptor.trans``.  ``iterations`` sums the sweeps
+    over all components."""
     if x.is_empty:
         return EntropyEstimate(0.0, "spectral", {"degenerate": "empty"}, 0.0)
     trans = x.acceptor.trans
     best_lo, best_hi, total_it, best_size = 0.0, 0.0, 0, 0
     for comp in _condensation(x):
-        pos = {q: i for i, q in enumerate(comp)}
-        rows = [[0] * len(comp) for _ in comp]
-        for row, q in zip(rows, comp):
-            for t in trans[q]:
-                if t in pos:
-                    row[pos[t]] += 1
-        if len(comp) == 1 and rows[0][0] == 0:
-            continue
-        lo, hi, it = _component_bracket(rows, tol)
+        if len(comp) == 1:
+            loops = trans[comp[0]].count(comp[0])
+            if not loops:
+                continue
+            lo = hi = float(loops)
+            it = 0
+        else:
+            lo, hi, it = _component_bracket(_symbol_targets(trans, comp), tol)
         total_it += it
         if hi > best_hi:
             best_size = len(comp)

@@ -128,11 +128,16 @@ class GlueRequest:
 
 # ---------------------------------------------------------------- helpers
 
+def _acceptor_graph(x: Shift) -> LabeledGraph:
+    """The acceptor as a labeled graph; memoised on ``x``."""
+    return x.derived("acceptor_graph", lambda y: to_graph(y.acceptor))
+
+
 def _condensation(x: Shift) -> list[list[int]]:
     """Strongly connected components of the acceptor, sinks first (see
     :func:`strongly_connected_components`); memoised on ``x``."""
     return x.derived("condensation", lambda y: strongly_connected_components(
-        to_graph(y.acceptor)))
+        _acceptor_graph(y)))
 
 
 def _post_all_masks(d: FactorialDfa) -> list[int]:
@@ -315,7 +320,7 @@ def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
 def _synchronized_cover(x: Shift):
     w = synchronizing_word(x)
     comp = next(c for c in _condensation(x) if w.vertex in c)
-    cover, old = subgraph(to_graph(x.acceptor), comp)
+    cover, old = subgraph(_acceptor_graph(x), comp)
     res = shortest_sync(transition_rows(cover), range(cover.n_vertices),
                         len(x.alphabet))
     if res is None:

@@ -3,10 +3,11 @@
 Everything here favors transparency over speed: explicit word enumeration,
 per-pair set reachability, direct preimage search, frozenset closures and
 one breadth-first search per source, a suffix scan over the forbidden
-words, and Myhill-Nerode table filling.  None of it shares algorithmic
-machinery with the code under test (which uses joint bitmask evolution,
-vectorised preimages, product automata, matrix counting, an Aho-Corasick
-matcher and Moore refinement).  Most
+words, Myhill-Nerode table filling, and dense power iteration.  None of
+it shares algorithmic machinery with the code under test (which uses
+joint bitmask evolution, vectorised preimages, product automata, matrix
+counting, an Aho-Corasick matcher, Moore refinement and per-symbol
+gathers).  Most
 oracles still read membership through ``x.contains_word``, that is through
 the minimal acceptor; :func:`origin_contains` reads only the description
 the shift was built from, so it also checks canonicalization itself.
@@ -15,6 +16,9 @@ the shift was built from, so it also checks canonicalization itself.
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 from soficlab.errors import StateBlowup
 from soficlab.graph import LabeledGraph
@@ -352,3 +356,32 @@ def nerode_classes(trans):
         else:
             cls.append(cls[p])
     return cls, count
+
+
+def count_block(trans, comp):
+    """Dense count matrix of the states ``comp`` of a transition table:
+    entry (i, j) counts the symbols taking comp[i] to comp[j]."""
+    pos = {q: i for i, q in enumerate(comp)}
+    rows = [[0] * len(comp) for _ in comp]
+    for row, q in zip(rows, comp):
+        for t in trans[q]:
+            if t in pos:
+                row[pos[t]] += 1
+    return rows
+
+
+def dense_bracket(rows, tol, cap):
+    """Collatz-Wielandt bracket of the Perron root of an irreducible count
+    matrix by dense power iteration on M+I, testing every sweep:
+    (lo, hi, iterations), or None when ``cap`` sweeps do not certify."""
+    m = np.array(rows, dtype=float)
+    v = np.ones(len(rows))
+    for it in range(1, cap + 1):
+        mv = m @ v
+        quot = mv / v
+        lo, hi = float(quot.min()), float(quot.max())
+        if lo > 0 and math.log(hi) - math.log(lo) <= tol:
+            return lo, hi, it
+        v = mv + v
+        v /= v.max()
+    return None

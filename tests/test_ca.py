@@ -16,8 +16,8 @@ from soficlab import (Alphabet, CellularAutomaton, Word,
                       run_corpus, run_bundled_examples, instance_lines,
                       bundled_ca,
                       equal_shifts, language_included, block_counts,
-                      NotEndomorphism, NotIntoTarget, TableTooLarge,
-                      WordTooShort)
+                      AlphabetMismatch, NotEndomorphism, NotIntoTarget,
+                      Shift, TableTooLarge, WordTooShort)
 
 from oracles import missing_preimage, origin_contains
 
@@ -152,6 +152,20 @@ class TestInjectivity:
                     hits += 1
                     assert is_pre_injective(t, x).verdict is True
         assert hits > 0
+
+
+class TestAlphabetChecked:
+    """A rule over another alphabet is refused, also on an empty domain."""
+
+    @pytest.mark.parametrize("decide", [is_pre_injective, is_injective,
+                                        image_presentation])
+    def test_empty_domain_over_other_alphabet(self, decide):
+        empty = Shift.from_forbidden(Alphabet(("0", "1")), ("0", "1"))
+        assert empty.is_empty
+        rule = identity_ca(Alphabet(("a", "b", "c")))
+        with pytest.raises(AlphabetMismatch,
+                           match="the rule reads a different alphabet"):
+            decide(rule, empty)
 
 
 class TestImagePresentation:

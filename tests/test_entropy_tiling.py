@@ -2,20 +2,24 @@
 tiling arithmetic and the counting bounds built on it."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soficlab.entropy as entropy
 from soficlab import (Alphabet, Shift, block_count, block_counts,
                       entropy_blocks, entropy_spectral, entropy_compare,
                       FolnerWindow, tiling_Z, tiling_density,
                       pattern_exclusion_bound, positivity_lower_bound,
-                      si_certificate, CertificateMissing, NotSubshift,
-                      WindowTooSmall)
+                      si_certificate, CapExceeded, CertificateMissing,
+                      NotSubshift, WindowTooSmall, bundled_shift,
+                      image_presentation, random_ca)
 
-from oracles import block_counts_by_extension
+from oracles import block_counts_by_extension, count_block, dense_bracket
 
 LN2 = math.log(2.0)
 LN_PHI = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -141,6 +145,85 @@ class TestEntropySpectral:
     def test_bad_tolerance(self, golden):
         with pytest.raises(ValueError):
             entropy_spectral(golden, tol=0.0)
+
+
+@st.composite
+def blocks(draw, letters):
+    """(trans, comp, tol): a strongly connected block ``comp`` of a
+    transition table over ``letters`` symbols, listed in a drawn order,
+    whose other moves are undefined or lead to states outside it."""
+    n = draw(st.integers(2, 9))
+    states = draw(st.permutations(range(n + draw(st.integers(0, 3)))))
+    comp = list(states[:n])
+    trans = [[-1] * letters for _ in states]
+    for i, q in enumerate(comp):
+        row = trans[q]
+        for a in range(letters):
+            row[a] = draw(st.integers(-1, len(states) - 1))
+        # a spanning cycle keeps the block strongly connected
+        row[draw(st.integers(0, letters - 1))] = comp[(i + 1) % n]
+    tol = draw(st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
+    return tuple(map(tuple, trans)), comp, tol
+
+
+def sparse_bracket(trans, comp, tol):
+    return entropy._component_bracket(
+        entropy._symbol_targets(trans, comp), tol)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPerronKernel:
+    """The per-symbol kernel against dense power iteration, with numpy
+    warnings (such as 0/0 in the pad slot) raised as errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(2))
+    def test_two_letters_bit_identical_to_dense(self, block):
+        trans, comp, tol = block
+        assert sparse_bracket(trans, comp, tol) == dense_bracket(
+            count_block(trans, comp), tol, entropy._ITER_CAP)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(3))
+    def test_three_letters_bracket_the_perron_root(self, block):
+        trans, comp, tol = block
+        lo, hi, _ = sparse_bracket(trans, comp, tol)
+        assert 0 < lo <= hi
+        assert math.log(hi) - math.log(lo) <= tol
+        m = np.array(count_block(trans, comp), dtype=float)
+        root = max(np.linalg.eigvals(m).real)
+        assert lo * (1 - 1e-12) <= root <= hi * (1 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(blocks(2))
+    def test_cap_counts_sweeps(self, block):
+        trans, comp, tol = block
+        lo, hi, needed = sparse_bracket(trans, comp, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "_ITER_CAP", needed)
+            assert sparse_bracket(trans, comp, tol) == (lo, hi, needed)
+            mp.setattr(entropy, "_ITER_CAP", needed - 1)
+            with pytest.raises(CapExceeded, match=(
+                    f"^power iteration failed to certify within "
+                    f"{needed - 1} sweeps$")):
+                sparse_bracket(trans, comp, tol)
+
+    def test_wide_rule_image(self):
+        # full2, memory 0..4, seed 66: a 4450-state image whose dense
+        # count block took 300 MB
+        x = bundled_shift("full2")
+        img = image_presentation(random_ca(x.alphabet, x.alphabet, (0, 4),
+                                           66), x)
+        assert img.acceptor.n_states == 4450
+        tracemalloc.start()
+        try:
+            est = entropy_spectral(img, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.params["iterations"] == 407
+        assert est.params["component_size"] == 4433
+        assert peak < 16 * 2 ** 20
 
 
 class TestMethodAgreement:

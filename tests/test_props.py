@@ -307,7 +307,8 @@ class TestComputedOncePerShift:
         from soficlab.cli import main
         from soficlab.graph import strongly_connected_components as scc
 
-        calls = {"backward_subsets": 0, "subgraph": 0, "scc": 0}
+        calls = {"backward_subsets": 0, "subgraph": 0, "to_graph": 0,
+                 "scc": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -316,8 +317,8 @@ class TestComputedOncePerShift:
             return wrapper
 
         # in props, subgraph only cuts the synchronized cover out of the
-        # acceptor graph
-        for name in ("backward_subsets", "subgraph"):
+        # acceptor graph, and to_graph only graphs the acceptor
+        for name in ("backward_subsets", "subgraph", "to_graph"):
             monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
         # every package module that imported the condensation pass
         for mod in list(sys.modules.values()):
@@ -331,4 +332,5 @@ class TestComputedOncePerShift:
         assert main(["shift", "analyze", str(path),
                      "--minimal-gap", "64"]) == 0
         assert "#: minimal_gap" in capsys.readouterr().out
-        assert calls == {"backward_subsets": 1, "subgraph": 1, "scc": 1}
+        assert calls == {"backward_subsets": 1, "subgraph": 1, "to_graph": 1,
+                         "scc": 1}
