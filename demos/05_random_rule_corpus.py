@@ -15,8 +15,7 @@ from soficlab import bundled_shift
 
 for name in ("full2", "golden"):
     x = bundled_shift(name)
-    rep = run_corpus(x, count=25, seed=42, memory=(0, 1), workers=1,
-                     shift_name=name)
+    rep = run_corpus(x, count=25, seed=42, memory=(0, 1), shift_name=name)
     kept = len(rep.instances)
     print(f"{name}: {kept} endomorphisms out of {rep.requested} seeds "
           f"(skipped {rep.skipped}), contradictions: {len(rep.contradictions)}")

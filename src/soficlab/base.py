@@ -101,11 +101,6 @@ class Alphabet:
     def word_from_ranks(self, ranks) -> "Word":
         return Word(self, tuple(self.symbols[r] for r in ranks))
 
-    def all_words(self, length: int) -> Iterator["Word"]:
-        """All words of the given length, lexicographic in symbol rank."""
-        for tup in itertools.product(self.symbols, repeat=length):
-            yield Word(self, tup)
-
     def __repr__(self) -> str:
         return f"Alphabet({self.compact})"
 
@@ -172,10 +167,6 @@ class ConfigurationWindow:
     @property
     def stop(self) -> int:
         return self.start + len(self.word)
-
-    @property
-    def domain(self) -> range:
-        return range(self.start, self.stop)
 
     def __len__(self) -> int:
         return len(self.word)

@@ -32,6 +32,9 @@ from .graph import LabeledGraph, core_vertices, path_graph, transition_rows
 from .props import is_strongly_irreducible, synchronized_cover
 from .shift import Shift, equal_shifts, language_included
 
+# middles of one length the sofic point-level search compares at most
+_SEARCH_CAP = 200_000
+
 
 def apply_to_word(t: CellularAutomaton, w) -> Word:
     """Slide the rule across a finite word; output length is
@@ -189,10 +192,15 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
                         note="distinct windows, equal images, common ends")
     if pgr.exact:
         return Decision(True, None, "point")
-    refuted = _sofic_refutation(t, x, pgr)
+    refuted, stopped = _sofic_refutation(t, x, pgr)
     if refuted is not None:
         return Decision(False, refuted, "point",
                         note="found by synchronized-context search")
+    if stopped is not None:
+        return Decision(True, None, "presentation",
+                        note=f"pair-graph criterion passed; point-level "
+                             f"search stopped at middle length {stopped}, "
+                             f"past its cap of {_SEARCH_CAP} middles")
     return Decision(True, None, "presentation",
                     note="pair-graph criterion passed; bounded point-level "
                          "search found no counterexample")
@@ -244,11 +252,15 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
     of lam^inf u tail lam^inf over all middles u the cover can read between
     q0 and the tail.  Equal-length middles with equal finite images give
     two genuine points agreeing outside the middle, a refutation.
+
+    Returns ``(witness, stopped)``: the witness or None, and the middle
+    length at which the search gave up because the middles of that length
+    outnumber ``_SEARCH_CAP`` (None when it ran to its bound).
     """
     try:
         cover, old, inner = synchronized_cover(x)
     except NoSyncWord:
-        return None
+        return None, None
     rows = transition_rows(cover)
     q0 = old.index(inner.vertex)
     u0 = inner.word.ranks()
@@ -256,11 +268,11 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
     tail = next((s + u0 for p, s in shortest_words(rows, q0).items()
                  if state_after(rows, u0, p) != -1), None)
     if tail is None:
-        return None
+        return None, None
     lam = tail or next(((a,) for a, d in enumerate(rows[q0]) if d == q0),
                        None)
     if lam is None:
-        return None
+        return None, None
     k = t.width
     pad = tuple(lam) * -(-k // len(lam))
     bound = 2 * pgr.n_base + k
@@ -268,9 +280,9 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
     out = _output_ranks(t)
 
     level = [((), q0)]
-    for _ in range(bound + 1):
-        if len(level) > 200_000:
-            return None  # search stays bounded; verdict stays hedged
+    for n in range(bound + 1):
+        if len(level) > _SEARCH_CAP:
+            return None, n  # search stays bounded; verdict stays hedged
         groups: dict[tuple, tuple] = {}
         for u, p in level:
             if state_after(rows, tail, p) == -1:
@@ -284,11 +296,11 @@ def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
                 wb = alphabet.word_from_ranks(pad + v + tail + pad)
                 return DiamondWitness(ConfigurationWindow(0, wa),
                                       ConfigurationWindow(0, wb),
-                                      t.target.word_from_ranks(img))
+                                      t.target.word_from_ranks(img)), None
             groups.setdefault(img, u)
         level = [(u + (a,), rows[p][a]) for u, p in level
                  for a in range(len(alphabet)) if rows[p][a] != -1]
-    return None
+    return None, None
 
 
 @_per_domain
@@ -362,8 +374,10 @@ def image_presentation(t: CellularAutomaton, x: Shift,
     pg, _, img = _recode(t, x)
     y = t.derived(("image", x), lambda t: Shift.from_graph(LabeledGraph(
         t.target, pg.n_vertices, tuple((s, d, img[a]) for s, d, a in pg.edges))))
+    # n = 0 is skipped: an empty domain has no (width-1)-block, yet its
+    # image has the empty word
     if self_check_n > 0:
-        for n in range(self_check_n + 1):
+        for n in range(1, self_check_n + 1):
             direct = {t.apply(w).text for w in x.blocks(n + t.width - 1)}
             if direct != {w.text for w in y.blocks(n)}:
                 raise RuntimeError(

@@ -36,6 +36,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _bounded(kind, low, strict: bool = False):
+    """argparse type: a ``kind`` number at least ``low`` (above it when
+    ``strict``), so a bad value is a usage error, not a traceback."""
+    def parse(text: str):
+        v = kind(text)
+        if not (v > low if strict else v >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return v
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_TOL = _bounded(float, 0, strict=True)
+
+
 def _load_shift(token: str) -> Shift:
     if os.path.exists(token):
         return parse_shift_file(token)
@@ -221,8 +237,7 @@ def cmd_corpus(args) -> int:
         return 1
     for token in shifts:
         x = _load_shift(token)
-        rep = run_corpus(x, args.count, args.seed, memory,
-                         workers=args.workers, shift_name=token)
+        rep = run_corpus(x, args.count, args.seed, memory, shift_name=token)
         print(f"shift {token}: {len(rep.instances)} endomorphisms out of "
               f"{rep.requested} seeds (skipped {rep.skipped}), "
               f"si {_yn(rep.si)}, h {_fmt(rep.h_domain)}")
@@ -283,16 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--minimal-gap", type=int, default=None, metavar="CAP",
                     help="also compute the exact least uniform gap, "
                          "searching up to CAP")
-    pa.add_argument("--table", type=int, default=0, metavar="N",
+    pa.add_argument("--table", type=_bounded(int, 0), default=0, metavar="N",
                     help="print block counts up to length N")
-    pa.add_argument("--n-max", type=int, default=30)
-    pa.add_argument("--tol", type=float, default=1e-9)
+    pa.add_argument("--n-max", type=_bounded(int, 2), default=30)
+    pa.add_argument("--tol", type=_TOL, default=1e-9)
     pa.set_defaults(func=cmd_shift_analyze)
     pe = subs.add_parser("entropy", help="block-count table and both "
                                          "entropy estimates")
     pe.add_argument("shift")
-    pe.add_argument("--n-max", type=int, default=20)
-    pe.add_argument("--tol", type=float, default=1e-9)
+    pe.add_argument("--n-max", type=_bounded(int, 2), default=20)
+    pe.add_argument("--tol", type=_TOL, default=1e-9)
     pe.set_defaults(func=cmd_shift_entropy)
 
     pc = sub.add_parser("ca", help="analyze a block map on a shift")
@@ -301,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pca = subc.add_parser("analyze")
     pca.add_argument("shift")
     pca.add_argument("ca")
-    pca.add_argument("--tol", type=float, default=1e-9)
+    pca.add_argument("--tol", type=_TOL, default=1e-9)
     pca.set_defaults(func=cmd_ca_analyze)
 
     pk = sub.add_parser("corpus", help="seeded random endomorphism suites")
@@ -310,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--count", type=int, default=50)
     pk.add_argument("--seed", type=int, default=0)
     pk.add_argument("--memory", default="0..1", metavar="L..R")
-    pk.add_argument("--workers", type=int, default=1)
     pk.add_argument("--paper-examples", action="store_true",
                     help="run the bundled example shifts and rules "
                          "end to end")
@@ -320,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     subt = pt.add_subparsers(dest="subcommand", required=True,
                              parser_class=_Parser)
     ptc = subt.add_parser("check")
-    ptc.add_argument("--k", type=int, default=3)
+    ptc.add_argument("--k", type=_bounded(int, 1), default=3)
     ptc.add_argument("--n", type=int, default=30)
     ptc.set_defaults(func=cmd_tiling_check)
 
@@ -329,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                              parser_class=_Parser)
     plc = subl.add_parser("check")
     plc.add_argument("shift")
-    plc.add_argument("--d", type=int, default=1)
-    plc.add_argument("--n", type=int, default=18)
+    plc.add_argument("--d", type=_bounded(int, 1), default=1)
+    plc.add_argument("--n", type=_bounded(int, 0), default=18)
     plc.add_argument("--pattern", default=None)
     plc.set_defaults(func=cmd_lemma41_check)
     return p

@@ -10,7 +10,6 @@ domain.  Any violation is a contradiction: it indicates a bug, never news.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .ca import (image_included, image_presentation, is_injective,
@@ -114,29 +113,16 @@ def _contradictions(si: bool | None, h_dom: float, h_dom_err: float,
 
 
 def run_corpus(x: Shift, count: int, seed: int,
-               memory: tuple[int, int] = (0, 1), workers: int = 1,
+               memory: tuple[int, int] = (0, 1),
                shift_name: str = "<shift>") -> CorpusReport:
-    """Classify ``count`` seeded random tables drawn from ``seed`` upward.
-
-    Instances are independent; with ``workers`` > 1 they run in separate
-    processes.  Output is aggregated in seed order, so the report does not
-    depend on the worker count.
-    """
+    """Classify ``count`` seeded random tables drawn from ``seed`` upward,
+    in seed order."""
     si = is_strongly_irreducible(x).verdict
     h_dom = entropy_spectral(x, _ENTROPY_TOL)
     check_image_si = _is_full(x)
-    seeds = list(range(seed, seed + count))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_instance, [x] * len(seeds), seeds,
-                                    [memory] * len(seeds),
-                                    [check_image_si] * len(seeds),
-                                    chunksize=8))
-    else:
-        results = [_run_instance(x, s, memory, check_image_si)
-                   for s in seeds]
+    seeds = range(seed, seed + count)
+    results = (_run_instance(x, s, memory, check_image_si) for s in seeds)
     kept = [r for r in results if r is not None]
-    kept.sort(key=lambda r: r.seed)
     contras: list[str] = []
     for inst in kept:
         contras.extend(

@@ -59,17 +59,6 @@ class LabeledGraph:
                 raise ValueError("vertex_names length mismatch")
             object.__setattr__(self, "vertex_names", names)
 
-    @classmethod
-    def build(cls, alphabet: Alphabet, n_vertices: int, edges,
-              vertex_names=None) -> "LabeledGraph":
-        """Edges may name their label by symbol string instead of rank."""
-        es = []
-        for s, d, a in edges:
-            if isinstance(a, str):
-                a = alphabet.index(a)
-            es.append((s, d, a))
-        return cls(alphabet, n_vertices, tuple(es), vertex_names)
-
     def name_of(self, v: int) -> str:
         if self.vertex_names is not None:
             return self.vertex_names[v]

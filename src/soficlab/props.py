@@ -1,10 +1,10 @@
 """Irreducibility, mixing, strong irreducibility, gap certificates, gluing.
 
-The decision procedures run on two canonical objects cached by Shift: the
-minimal acceptor (for language-level questions: does some word connect u
-to v) and the right-resolving reduced presentation (for structural
-questions: synchronizing words, the synchronized component, its diameter
-and cycle gcd).
+The decision procedures run on one canonical object built by Shift: the
+minimal acceptor, read both for language-level questions (does some word
+connect u to v) and, as a right-resolving graph, for structural ones
+(synchronizing words, the synchronized cover cut out of it, the cover's
+diameter and cycle gcd).
 
 Uniform-gap questions quantify over infinitely many word pairs and gap
 lengths; both quantifiers are made finite here.  Word pairs matter only

@@ -5,15 +5,14 @@ subshift of finite type) or from an arbitrary labeled graph (a sofic
 subshift).  A forbidden-word spec becomes a vertex-per-block graph
 (:func:`sft_to_graph`), whose blocks are screened by an Aho-Corasick
 matcher of the forbidden words (Aho & Corasick, "Efficient string
-matching", CACM 18(6), 1975).  Construction eagerly canonicalizes: an
-essential presentation, a right-resolving reduced presentation, and a
-minimal acceptor of the block language are all cached on the instance, and
-every later query runs against these.  Both derived objects come from one
-subset construction (Lind & Marcus, *Symbolic Dynamics and Coding*,
-3.3-3.4), see :func:`determinize_minimize`.  The canonical objects are
-fixed at construction; derived invariants (irreducibility data,
-synchronized cover, mixing report, gap certificate, spectral entropy) are
-memoised on the instance on first use, see :meth:`Memo.derived`.
+matching", CACM 18(6), 1975).  Construction eagerly builds two canonical
+objects: an essential presentation, and the minimal acceptor of the block
+language from one subset construction (Lind & Marcus, *Symbolic Dynamics
+and Coding*, 3.3-3.4); every query runs against these.  Everything else
+is derived and memoised on the instance on first use, see
+:meth:`Memo.derived`: the right-resolving reduced presentation (read by
+the map layer on sofic-kind domains), irreducibility data, synchronized
+cover, mixing report, gap certificate and spectral entropy.
 """
 
 from __future__ import annotations
@@ -139,29 +138,13 @@ def sft_to_graph(spec: SftSpec, cap: int = _STATE_CAP) -> LabeledGraph:
     return LabeledGraph(spec.alphabet, len(level), tuple(edges), names)
 
 
-def determinize_minimize(ge: LabeledGraph, cap: int = _STATE_CAP
-                         ) -> tuple[LabeledGraph, _dfa.FactorialDfa]:
-    """Right-resolving reduced presentation and minimal acceptor of the same
-    bi-infinite language, from one subset construction.
-
-    ``ge`` must be essential and nonempty (``Shift`` essentializes once and
-    handles the empty shift itself).  When ``ge`` is not right-resolving,
-    its subset automaton ``D`` (from the set of all vertices) is built
-    once: the acceptor is ``minimize(D)`` and the presentation is the
-    follower reduction of the essential part of ``D``.  A right-resolving
-    ``ge`` is follower-reduced directly, and the acceptor is minimized from
-    the subset automaton of that reduction, so a reduced presentation maps
-    to itself (the operation is idempotent).  Both routes read the same
-    language and minimization is canonical, so the acceptor does not
-    depend on the route.
-    """
-    if ge.is_right_resolving():
-        reduced, _ = follower_reduce(ge)
-        subset = _dfa.determinize(reduced, cap)
-    else:
-        subset = _dfa.determinize(ge, cap)
-        reduced, _ = follower_reduce(essentialize(_dfa.to_graph(subset))[0])
-    return reduced, _dfa.minimize(subset)
+def _reduced_presentation(x: "Shift") -> LabeledGraph:
+    """Follower reduction of the essential part of the subset automaton of
+    ``x.essential`` (from the set of all vertices): a right-resolving
+    reduced presentation of a shift whose essential graph is not
+    right-resolving."""
+    subset = _dfa.determinize(x.essential)
+    return follower_reduce(essentialize(_dfa.to_graph(subset))[0])[0]
 
 
 class Shift(Memo):
@@ -177,25 +160,26 @@ class Shift(Memo):
         The description the shift was built from.
     essential : LabeledGraph
         Essential presentation.  Empty exactly when the shift is empty.
-    deterministic : LabeledGraph
-        Right-resolving reduced presentation (empty for the empty shift).
     acceptor : FactorialDfa
-        Minimal acceptor of the block language, canonical form.  It is
-        minimized from the same subset automaton that ``deterministic`` is
-        reduced from (or, for a right-resolving ``essential``, from the
-        subset automaton of ``deterministic``); see
-        :func:`determinize_minimize`.
+        Minimal acceptor of the block language, canonical form: minimized
+        from the subset automaton of ``essential``, or, when ``essential``
+        is right-resolving, of its follower reduction, so a reduced
+        presentation maps to itself.  Both routes read the same language
+        and minimization is canonical, so the acceptor does not depend on
+        the route.  The empty shift's is the one-state acceptor of the
+        empty word.
     window : int or None
         For ``"sft"`` kind: a length w such that vertices of ``essential``
         correspond to allowed (w-1)-blocks, so each point has a unique
         presenting path.  None for sofic-kind shifts.
 
-    The canonical objects are fixed at construction; derived invariants are
-    memoised on first use (:meth:`derived`).
+    ``essential`` and ``acceptor`` are built at construction; everything
+    else, :attr:`deterministic` included, is derived and memoised on first
+    use (:meth:`derived`).
     """
 
-    __slots__ = ("alphabet", "kind", "origin", "essential", "deterministic",
-                 "acceptor", "window", "_derived")
+    __slots__ = ("alphabet", "kind", "origin", "essential", "acceptor",
+                 "window", "_derived")
 
     def __init__(self, origin, kind: str, essential: LabeledGraph,
                  window: int | None):
@@ -204,16 +188,14 @@ class Shift(Memo):
         self.alphabet = essential.alphabet
         self.kind = kind
         self.origin = origin
-        ge, _ = essentialize(essential)
-        self.essential = ge
-        if ge.n_vertices == 0:
-            self.deterministic = LabeledGraph(self.alphabet, 0, ())
-            self.acceptor = _dfa.FactorialDfa(
-                self.alphabet, ((-1,) * len(self.alphabet),))
-        else:
-            self.deterministic, self.acceptor = determinize_minimize(ge)
+        self.essential = g = essentialize(essential)[0]
         self.window = window
         self._derived: dict = {}
+        if g.is_right_resolving():
+            # reduced first, so a reduced presentation maps to itself; the
+            # reduction is the memoised ``deterministic``
+            g = self._derived["deterministic"] = follower_reduce(g)[0]
+        self.acceptor = _dfa.minimize(_dfa.determinize(g))
 
     @classmethod
     def from_forbidden(cls, alphabet: Alphabet, forbidden=()) -> "Shift":
@@ -225,6 +207,12 @@ class Shift(Memo):
     def from_graph(cls, g: LabeledGraph) -> "Shift":
         """Sofic shift presented by the labeled graph ``g``."""
         return cls(g, "sofic", g, None)
+
+    @property
+    def deterministic(self) -> LabeledGraph:
+        """Right-resolving reduced presentation (empty for the empty
+        shift), memoised."""
+        return self.derived("deterministic", _reduced_presentation)
 
     @property
     def is_empty(self) -> bool:

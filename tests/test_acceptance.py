@@ -46,7 +46,7 @@ def criterion(num, label):
 def corpus_reports(shifts):
     t0 = time.monotonic()
     reps = {name: run_corpus(shifts[name], count=200, seed=42,
-                             memory=(0, 2), workers=1, shift_name=name)
+                             memory=(0, 2), shift_name=name)
             for name in ("full2", "golden", "even")}
     return reps, time.monotonic() - t0
 

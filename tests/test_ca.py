@@ -13,7 +13,7 @@ from soficlab import (Alphabet, CellularAutomaton, Word,
                       check_myhill, check_entropy_preservation,
                       random_ca, identity_ca, constant_ca, xor_ca,
                       search_moore_counterexample,
-                      run_corpus, run_bundled_examples, instance_lines,
+                      run_corpus, run_bundled_examples,
                       bundled_ca,
                       equal_shifts, language_included, block_counts,
                       AlphabetMismatch, NotEndomorphism, NotIntoTarget,
@@ -200,6 +200,13 @@ class TestImagePresentation:
         assert img.contains_word(img.word("010"))
         assert equal_shifts(img, full2).verdict is False
 
+    def test_self_check_on_empty_domain(self):
+        # the empty domain has no 1-block; the empty image still has the
+        # empty word, so the check starts at length 1
+        empty = Shift.from_forbidden(Alphabet(("0", "1")), ("0", "1"))
+        img = image_presentation(xor_ca(), empty, self_check_n=4)
+        assert img.is_empty
+
 
 class TestSurjectivity:
 
@@ -326,11 +333,6 @@ class TestCorpus:
             assert not (inst.pre_injective is True
                         and inst.surjective is False)
 
-    def test_workers_agree(self, golden):
-        seq = run_corpus(golden, count=8, seed=3, memory=(0, 1), workers=1)
-        par = run_corpus(golden, count=8, seed=3, memory=(0, 1), workers=2)
-        assert instance_lines(seq) == instance_lines(par)
-
     def test_bundled_examples_clean(self):
         outs = run_bundled_examples()
         assert [o.label for o in outs] == ["xor on full2",
@@ -407,7 +409,8 @@ class TestSoficRefutation:
         from soficlab.ca import _sofic_refutation
 
         t = constant_ca(even.alphabet, "0")
-        wit = _sofic_refutation(t, even, pair_graph(t, even))
+        wit, stopped = _sofic_refutation(t, even, pair_graph(t, even))
+        assert stopped is None
         a, b = wit.first.word, wit.second.word
         assert (a.text, b.text, wit.image.text) == ("01100", "00000", "00000")
         assert a != b and len(a) == len(b)
@@ -420,14 +423,27 @@ class TestSoficRefutation:
         assert _table_image(t, a.ranks()) == _table_image(t, b.ranks()) \
             == wit.image.ranks()
 
+    def test_search_cap_keeps_verdict_and_names_it(self, monkeypatch,
+                                                   capsys):
+        import soficlab.ca as ca
+        from soficlab.cli import main
+
+        monkeypatch.setattr(ca, "_SEARCH_CAP", 3)
+        assert main(["ca", "analyze", "even", "identity"]) == 0
+        out = capsys.readouterr().out
+        assert "#: pre_injective 1 presentation" in out
+        assert ("[pair-graph criterion passed; point-level search stopped "
+                "at middle length 3, past its cap of 3 middles]") in out
+
 
 class TestComputedOncePerRule:
     """One (rule, domain) pair is recoded, searched and imaged once, however
     many verdicts read the results."""
 
     @staticmethod
-    def _count(monkeypatch, module, names):
-        calls = dict.fromkeys(names, 0)
+    def _count(monkeypatch, module, names, calls=None):
+        calls = {} if calls is None else calls
+        calls.update(dict.fromkeys(names, 0))
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -460,14 +476,44 @@ class TestComputedOncePerRule:
         assert "#: pre_injective 1 presentation" in capsys.readouterr().out
         assert calls == {"_sofic_refutation": 1}
 
-    def test_corpus_instance_builds_one_image(self, monkeypatch):
+    def _count_canonical(self, monkeypatch):
+        """Subset constructions and follower reductions run by shifts."""
+        import soficlab.dfa as dfa
         import soficlab.shift as shift_mod
 
-        x = shift_mod.Shift.from_forbidden(Alphabet(("0", "1")), ())
-        calls = self._count(monkeypatch, shift_mod, ("determinize_minimize",))
+        calls = self._count(monkeypatch, dfa, ("determinize",))
+        return self._count(monkeypatch, shift_mod, ("follower_reduce",), calls)
+
+    def test_corpus_instance_builds_one_image(self, monkeypatch):
+        # the image is not right-resolving: one subset construction for its
+        # acceptor, and no reduced presentation, which nothing reads
+        x = Shift.from_forbidden(Alphabet(("0", "1")), ())
+        calls = self._count_canonical(monkeypatch)
         rep = run_corpus(x, 1, 42, (0, 2))
         assert len(rep.instances) == 1
-        assert calls == {"determinize_minimize": 1}
+        assert calls == {"determinize": 1, "follower_reduce": 0}
+
+    def test_shift_analyze_derives_no_reduced_presentation(
+            self, monkeypatch, capsys, tmp_path):
+        from soficlab.cli import main
+
+        path = tmp_path / "split.shift"
+        path.write_text("alphabet: 0 1\ngraph:\n"
+                        "edge 0 0 0\nedge 0 1 0\nedge 1 0 1\n")
+        calls = self._count_canonical(monkeypatch)
+        assert main(["shift", "analyze", str(path)]) == 0
+        assert "#: irreducible 1" in capsys.readouterr().out
+        assert calls == {"determinize": 1, "follower_reduce": 0}
+
+    def test_sofic_domain_reduces_once(self, monkeypatch, capsys):
+        # even's graph is right-resolving: its reduction feeds the acceptor
+        # and is the presentation the map layer reads; the image likewise
+        from soficlab.cli import main
+
+        calls = self._count_canonical(monkeypatch)
+        assert main(["ca", "analyze", "even", "identity"]) == 0
+        assert "#: consistent 1" in capsys.readouterr().out
+        assert calls == {"determinize": 2, "follower_reduce": 2}
 
     def test_image_inclusion_searched_once(self, monkeypatch, full2):
         # check_myhill and is_surjective both need the image inside the

@@ -200,15 +200,6 @@ class TestCliCorpus:
         assert "#: summary shift=full2 kept=5 skipped=0 contradictions=0" in out
         assert "#: 3, 1, 1, 1, 1," in out
 
-    def test_determinism_across_workers(self, capsys):
-        assert main(["corpus", "--shift", "golden", "--count", "6",
-                     "--seed", "3", "--workers", "1"]) == 0
-        a = machine_lines(capsys.readouterr().out)
-        assert main(["corpus", "--shift", "golden", "--count", "6",
-                     "--seed", "3", "--workers", "2"]) == 0
-        b = machine_lines(capsys.readouterr().out)
-        assert a == b
-
     def test_bundled_examples(self, capsys):
         assert main(["corpus", "--paper-examples"]) == 0
         out = capsys.readouterr().out
@@ -275,6 +266,27 @@ class TestCliContract:
         with pytest.raises(SystemExit) as ei:
             main(["bogus"])
         assert ei.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        "shift analyze golden --n-max 1",
+        "shift analyze golden --tol 0",
+        "shift analyze golden --table -1",
+        "shift entropy golden --n-max 0",
+        "shift entropy golden --tol nan",
+        "ca analyze full2 xor --tol -1",
+        "tiling check --k 0",
+        "lemma41 check golden --d 0",
+        "lemma41 check golden --n -1",
+        "shift analyze golden --n-max x",
+    ])
+    def test_bad_argument_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            main(argv.split())
+        assert ei.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
 
     def test_machine_lines_are_stable(self, capsys):
         assert main(["shift", "analyze", "golden"]) == 0

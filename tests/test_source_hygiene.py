@@ -1,11 +1,16 @@
 """Source hygiene without a linter: every module-level import of a package
-module is used in it, and every module-level private function is referenced
-somewhere in the package."""
+module is used in it, every module-level private function is referenced
+somewhere in the package, and every public function, method and property
+is referenced somewhere in the package, its tests or its demos."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "soficlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "soficlab"
+
+# methods that the standard library calls by name
+_HOOKS = {"cli.py: _Parser.error"}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -15,6 +20,12 @@ def _trees() -> dict[str, ast.Module]:
 
 def _names(tree: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names and attribute names the tree reads or writes."""
+    return _names(tree) | {n.attr for n in ast.walk(tree)
+                           if isinstance(n, ast.Attribute)}
 
 
 def test_module_imports_are_used():
@@ -38,12 +49,31 @@ def test_private_functions_are_referenced():
     trees = _trees()
     referenced = set()
     for tree in trees.values():
-        referenced |= _names(tree)
-        referenced |= {n.attr for n in ast.walk(tree)
-                       if isinstance(n, ast.Attribute)}
+        referenced |= _referenced(tree)
     orphans = [f"{name}: {node.name}" for name, tree in trees.items()
                for node in tree.body
                if isinstance(node, ast.FunctionDef)
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in referenced]
+    assert not orphans, orphans
+
+
+def test_public_functions_are_referenced():
+    referenced = set()
+    for top in ("src", "tests", "demos"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            referenced |= _referenced(
+                ast.parse(path.read_text(encoding="utf-8")))
+    defined = []
+    for name, tree in _trees().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{name}: {node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined.extend((f"{name}: {node.name}.{m.name}", m.name)
+                               for m in node.body
+                               if isinstance(m, ast.FunctionDef))
+    orphans = [label for label, fn in defined
+               if not fn.startswith("_") and fn not in referenced
+               and label not in _HOOKS]
     assert not orphans, orphans
