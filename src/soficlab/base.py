@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from .errors import AlphabetMismatch, TableTooLarge, WordTooShort
+from .errors import AlphabetMismatch, TableTooLarge
 
 _TABLE_CAP = 1 << 22  # max local-rule table entries
 
@@ -204,9 +204,8 @@ class Decision:
         Structure backing the verdict (word, window pair, certificate, ...);
         None when the verdict needs no witness.
     scope : str
-        What the witness certifies: ``"point"`` (about actual configurations),
-        ``"presentation"`` (about a chosen graph presentation), or
-        ``"language"`` (about the block language).
+        What the witness certifies: ``"point"`` (about actual
+        configurations) or ``"language"`` (about the block language).
     note : str
         Free-text qualifier, empty when unremarkable.
     """
@@ -217,7 +216,7 @@ class Decision:
     note: str = ""
 
     def __post_init__(self):
-        if self.scope not in ("point", "presentation", "language"):
+        if self.scope not in ("point", "language"):
             raise ValueError(f"bad scope {self.scope!r}")
 
 
@@ -284,13 +283,6 @@ class CellularAutomaton(Memo):
         for x in ranks:
             r = r * len(self.source) + x
         return r
-
-    def rule(self, window) -> str:
-        """Apply the local rule to one window of symbol names."""
-        w = self.source.word(window)
-        if len(w) != self.width:
-            raise WordTooShort(f"window length {len(w)}, rule width {self.width}")
-        return self.table[self.block_rank(w.ranks())]
 
     def apply(self, word) -> Word:
         """Slide the rule across a word; output has length ``len - width + 1``.

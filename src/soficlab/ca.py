@@ -6,7 +6,10 @@ single edge label.  Vertices of the recoded graph are (k-1)-blocks and
 edges are k-blocks with k at least the rule width, so each edge determines
 one output symbol.  Questions about pairs of points become reachability
 questions in the product of that graph with itself, restricted to edge
-pairs producing the same output.
+pairs producing the same output.  The image recodes the essential
+presentation; the pair graph recodes a past-determined one (the essential
+graph of a window-defined domain, :attr:`Shift.deterministic` otherwise),
+which makes pre-injectivity exact on every domain.
 
 Each (rule, domain) pair is analysed once: the recoding, pair graph, image
 and injectivity verdicts are cached on the rule under (name, domain), and
@@ -24,16 +27,12 @@ from dataclasses import dataclass
 
 from .base import (_TABLE_CAP, Alphabet, CellularAutomaton, ConfigurationWindow,
                    Decision, Word)
-from .dfa import shortest_words, state_after
 from .entropy import EntropyEstimate, entropy_spectral
-from .errors import (AlphabetMismatch, NoSyncWord, NotEndomorphism,
-                     NotIntoTarget, TableTooLarge, WordTooShort)
-from .graph import LabeledGraph, core_vertices, path_graph, transition_rows
-from .props import is_strongly_irreducible, synchronized_cover
+from .errors import (AlphabetMismatch, NotEndomorphism, NotIntoTarget,
+                     TableTooLarge, WordTooShort)
+from .graph import LabeledGraph, core_vertices, path_graph
+from .props import is_strongly_irreducible
 from .shift import Shift, equal_shifts, language_included
-
-# middles of one length the sofic point-level search compares at most
-_SEARCH_CAP = 200_000
 
 
 def apply_to_word(t: CellularAutomaton, w) -> Word:
@@ -64,20 +63,16 @@ class PairGraph:
     """Product of the recoded presentation with itself, filtered to edge
     pairs with equal output symbols.
 
-    ``base`` is the recoded graph (edges are k-blocks, mapped to the target
-    ranks ``outputs``); pair vertex p*n+q stands for the ordered vertex pair
-    (p, q).  Each edge records both k-block labels and a flag marking the
-    pairs where the blocks differ.
-    ``exact`` notes whether points of the domain have unique presenting
-    paths in ``base`` (true for window-defined domains), which is what
-    upgrades pair reachability facts to statements about points.
+    ``base`` is the recoded past-determined presentation (edges are
+    k-blocks, mapped to the target ranks ``outputs``); pair vertex p*n+q
+    stands for the ordered vertex pair (p, q).  Each edge records both
+    k-block labels and a flag marking the pairs where the blocks differ.
     """
 
     base: LabeledGraph
     blocks: tuple[tuple[int, ...], ...]
     outputs: tuple[int, ...]
     width: int
-    exact: bool
     edges: tuple[tuple[int, int, int, int, bool], ...]  # (src,dst,la,lb,flag)
 
     @property
@@ -94,23 +89,34 @@ def _check_source(t: CellularAutomaton, x: Shift) -> None:
         raise AlphabetMismatch("the rule reads a different alphabet")
 
 
-@_per_domain
-def _recode(t: CellularAutomaton, x: Shift):
+def _one_block(t: CellularAutomaton, g: LabeledGraph):
     """One-block form: the path graph whose edges are the width-blocks of
-    a presentation of ``x``, the blocks, and the output rank of each."""
-    _check_source(t, x)
-    if x.is_empty:
+    ``g``, the blocks, and the output rank of each."""
+    if g.n_vertices == 0:
         # no blocks, so no block alphabet: the image is the empty shift
-        return LabeledGraph(x.alphabet, 0, ()), (), ()
-    base = x.essential if x.window is not None else x.deterministic
-    pg, blocks = path_graph(base, t.width)
+        return LabeledGraph(g.alphabet, 0, ()), (), ()
+    pg, blocks = path_graph(g, t.width)
     out = _output_ranks(t)
     return pg, blocks, tuple(out[t.block_rank(b)] for b in blocks)
 
 
 @_per_domain
+def _recode(t: CellularAutomaton, x: Shift):
+    """:func:`_one_block` of the essential presentation of ``x``."""
+    _check_source(t, x)
+    return _one_block(t, x.essential)
+
+
+@_per_domain
 def pair_graph(t: CellularAutomaton, x: Shift) -> PairGraph:
-    pg, blocks, img = _recode(t, x)
+    """The pair graph over a past-determined presentation of ``x``: its
+    essential graph when ``x`` is window-defined (that recoding is shared
+    with the image), :attr:`Shift.deterministic` otherwise."""
+    _check_source(t, x)
+    if x.window is not None:
+        pg, blocks, img = _recode(t, x)
+    else:
+        pg, blocks, img = _one_block(t, x.deterministic)
     n = pg.n_vertices
     by_src = pg.out_map()
     pedges = []
@@ -121,8 +127,7 @@ def pair_graph(t: CellularAutomaton, x: Shift) -> PairGraph:
                     if img[a] == img[b]:
                         pedges.append((p * n + q, d1 * n + d2, a, b, a != b))
     pedges.sort(key=lambda e: (e[0], blocks[e[2]], blocks[e[3]]))
-    return PairGraph(pg, blocks, img, t.width, x.window is not None,
-                     tuple(pedges))
+    return PairGraph(pg, blocks, img, t.width, tuple(pedges))
 
 
 def _path_word(alphabet: Alphabet, blocks, labels: list[int]) -> Word:
@@ -138,9 +143,12 @@ def _path_word(alphabet: Alphabet, blocks, labels: list[int]) -> Word:
 class DiamondWitness:
     """Two windows with equal outputs that agree at both ends.
 
-    The words share their first and last k-1 symbols, so any common
+    The words share their first and last k-1 symbols, and some common
     bi-infinite extension turns them into two points of the domain that
-    differ only inside the window yet map to the same point.
+    differ only inside the window yet map to the same point.  Not every
+    common extension need do so on a sofic domain: on the even shift,
+    ``111011011`` and ``111100011`` extend by 1^inf on the left and 0^inf on
+    the right, while a left context ``0`` admits only one of them.
     """
 
     first: ConfigurationWindow
@@ -167,53 +175,62 @@ class PointPairWitness:
 def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
     """Can two points agreeing outside a finite set share their image?
 
-    Equivalent to the recoded presentation containing a diamond: two
-    distinct equal-length paths between the same endpoints carrying the
-    same output labels.  Found by reachability from the diagonal of the
-    pair graph back to the diagonal through a flagged edge.  Complete for
-    window-defined domains (unique presenting paths); for other domains a
-    diamond is still a genuine refutation, and a clean pair graph is
-    followed by a bounded point-level search around synchronized contexts.
+    Decided exactly on every domain by :func:`_diamond_search` over the pair
+    graph of a past-determined presentation, in which the vertex at j of a
+    point's presenting path depends on x(-inf, j) alone (window-defined
+    domains: the essential graph; others: :attr:`Shift.deterministic`).
+    Two asymptotic points then start on the diagonal, take a flagged edge
+    where they differ and, after their last difference, read identical
+    blocks forever, possibly in different states.  Conversely such a pair
+    path, extended by one left-infinite path and the identical-block tail,
+    is two distinct asymptotic points with equal images.
     """
     _check_source(t, x)
     if x.is_empty:
         return Decision(True, None, "point", note="empty domain")
     pgr = pair_graph(t, x)
     hit = _diamond_search(pgr)
-    if hit is not None:
-        la, lb = hit
-        alphabet = x.alphabet
-        wa = _path_word(alphabet, pgr.blocks, la)
-        wb = _path_word(alphabet, pgr.blocks, lb)
-        img = t.target.word_from_ranks(pgr.outputs[e] for e in la)
-        wit = DiamondWitness(ConfigurationWindow(0, wa),
-                             ConfigurationWindow(0, wb), img)
-        return Decision(False, wit, "point",
-                        note="distinct windows, equal images, common ends")
-    if pgr.exact:
+    if hit is None:
         return Decision(True, None, "point")
-    refuted, stopped = _sofic_refutation(t, x, pgr)
-    if refuted is not None:
-        return Decision(False, refuted, "point",
-                        note="found by synchronized-context search")
-    if stopped is not None:
-        return Decision(True, None, "presentation",
-                        note=f"pair-graph criterion passed; point-level "
-                             f"search stopped at middle length {stopped}, "
-                             f"past its cap of {_SEARCH_CAP} middles")
-    return Decision(True, None, "presentation",
-                    note="pair-graph criterion passed; bounded point-level "
-                         "search found no counterexample")
+    la, lb = hit
+    alphabet = x.alphabet
+    wa = _path_word(alphabet, pgr.blocks, la)
+    wb = _path_word(alphabet, pgr.blocks, lb)
+    img = t.target.word_from_ranks(pgr.outputs[e] for e in la)
+    wit = DiamondWitness(ConfigurationWindow(0, wa),
+                         ConfigurationWindow(0, wb), img)
+    return Decision(False, wit, "point",
+                    note="distinct windows, equal images, common ends")
+
+
+def _tail_pairs(pgr: PairGraph) -> list[bool]:
+    """Flags of the pairs from which an infinite path of unflagged
+    (identical-block) edges starts: those reaching the core of the
+    unflagged edges along such edges.  One O(V + E) pass."""
+    same = [e for e in pgr.edges if not e[4]]
+    tail = core_vertices(pgr.n_pairs, same)
+    into: list[list[int]] = [[] for _ in range(pgr.n_pairs)]
+    for e in same:
+        into[e[1]].append(e[0])
+    stack = [v for v, alive in enumerate(tail) if alive]
+    while stack:
+        for u in into[stack.pop()]:
+            if not tail[u]:
+                tail[u] = True
+                stack.append(u)
+    return tail
 
 
 def _diamond_search(pgr: PairGraph):
-    """Shortest diagonal-to-diagonal pair path through a flagged edge.
+    """Shortest pair path from the diagonal through a flagged edge to the
+    tail set (:func:`_tail_pairs`), which holds the diagonal.
 
     Returns the two label sequences, or None.  BFS over (pair, flag)
     states; adjacency is pre-sorted by block labels, so among shortest
     diamonds the label-lexicographically least is found.
     """
     n = pgr.n_base
+    tail = _tail_pairs(pgr)
     adj: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(n * n)]
     for s, d, a, b, f in pgr.edges:
         adj[s].append((d, a, b, f))
@@ -229,7 +246,7 @@ def _diamond_search(pgr: PairGraph):
                 if ns in parent:
                     continue
                 parent[ns] = (state, a, b)
-                if ns % 2 == 1 and (d // n) == (d % n):
+                if ns % 2 == 1 and tail[d]:
                     la, lb = [], []
                     cur = ns
                     while parent[cur] is not None:
@@ -242,65 +259,6 @@ def _diamond_search(pgr: PairGraph):
                 nxt.append(ns)
         frontier = nxt
     return None
-
-
-def _sofic_refutation(t: CellularAutomaton, x: Shift, pgr: PairGraph):
-    """Bounded point-level search for equal-image point pairs on domains
-    without unique presenting paths.
-
-    Builds a loop lam at the synchronized state q0 and compares the images
-    of lam^inf u tail lam^inf over all middles u the cover can read between
-    q0 and the tail.  Equal-length middles with equal finite images give
-    two genuine points agreeing outside the middle, a refutation.
-
-    Returns ``(witness, stopped)``: the witness or None, and the middle
-    length at which the search gave up because the middles of that length
-    outnumber ``_SEARCH_CAP`` (None when it ran to its bound).
-    """
-    try:
-        cover, old, inner = synchronized_cover(x)
-    except NoSyncWord:
-        return None, None
-    rows = transition_rows(cover)
-    q0 = old.index(inner.vertex)
-    u0 = inner.word.ranks()
-    # the (length, lex)-least s with q0 --s--> p where p reads u0
-    tail = next((s + u0 for p, s in shortest_words(rows, q0).items()
-                 if state_after(rows, u0, p) != -1), None)
-    if tail is None:
-        return None, None
-    lam = tail or next(((a,) for a, d in enumerate(rows[q0]) if d == q0),
-                       None)
-    if lam is None:
-        return None, None
-    k = t.width
-    pad = tuple(lam) * -(-k // len(lam))
-    bound = 2 * pgr.n_base + k
-    alphabet = x.alphabet
-    out = _output_ranks(t)
-
-    level = [((), q0)]
-    for n in range(bound + 1):
-        if len(level) > _SEARCH_CAP:
-            return None, n  # search stays bounded; verdict stays hedged
-        groups: dict[tuple, tuple] = {}
-        for u, p in level:
-            if state_after(rows, tail, p) == -1:
-                continue
-            w = pad + u + tail + pad
-            img = tuple(out[t.block_rank(w[i:i + k])]
-                        for i in range(len(w) - k + 1))
-            if img in groups and groups[img] != u:
-                v = groups[img]
-                wa = alphabet.word_from_ranks(pad + u + tail + pad)
-                wb = alphabet.word_from_ranks(pad + v + tail + pad)
-                return DiamondWitness(ConfigurationWindow(0, wa),
-                                      ConfigurationWindow(0, wb),
-                                      t.target.word_from_ranks(img)), None
-            groups.setdefault(img, u)
-        level = [(u + (a,), rows[p][a]) for u, p in level
-                 for a in range(len(alphabet)) if rows[p][a] != -1]
-    return None, None
 
 
 @_per_domain

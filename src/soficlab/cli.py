@@ -52,6 +52,19 @@ def _bounded(kind, low, strict: bool = False):
 _TOL = _bounded(float, 0, strict=True)
 
 
+def _interval(text: str) -> tuple[int, int]:
+    """argparse type: a nonempty memory interval ``L..R`` (L <= R)."""
+    try:
+        l, r = map(int, text.split(".."))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad memory interval {text!r}, expected like 0..2") from None
+    if l > r:
+        raise argparse.ArgumentTypeError(
+            f"bad memory interval {text!r}, {l} > {r}")
+    return l, r
+
+
 def _load_shift(token: str) -> Shift:
     if os.path.exists(token):
         return parse_shift_file(token)
@@ -228,16 +241,10 @@ def cmd_corpus(args) -> int:
         print("error: give --shift at least once or --paper-examples",
               file=sys.stderr)
         return 1
-    try:
-        l, r = args.memory.split("..")
-        memory = (int(l), int(r))
-    except ValueError:
-        print(f"error: bad memory interval {args.memory!r}, "
-              f"expected like 0..2", file=sys.stderr)
-        return 1
     for token in shifts:
         x = _load_shift(token)
-        rep = run_corpus(x, args.count, args.seed, memory, shift_name=token)
+        rep = run_corpus(x, args.count, args.seed, args.memory,
+                         shift_name=token)
         print(f"shift {token}: {len(rep.instances)} endomorphisms out of "
               f"{rep.requested} seeds (skipped {rep.skipped}), "
               f"si {_yn(rep.si)}, h {_fmt(rep.h_domain)}")
@@ -324,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shift file or bundled name; repeatable")
     pk.add_argument("--count", type=int, default=50)
     pk.add_argument("--seed", type=int, default=0)
-    pk.add_argument("--memory", default="0..1", metavar="L..R")
+    pk.add_argument("--memory", type=_interval, default="0..1",
+                    metavar="L..R")
     pk.add_argument("--paper-examples", action="store_true",
                     help="run the bundled example shifts and rules "
                          "end to end")

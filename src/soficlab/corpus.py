@@ -30,7 +30,6 @@ class CorpusInstance:
     seed: int
     memory: tuple[int, int]
     pre_injective: bool | None
-    pre_injective_scope: str
     injective: bool | None
     surjective: bool | None
     h_image: float
@@ -81,7 +80,7 @@ def _run_instance(x: Shift, seed: int, memory: tuple[int, int],
     image_si = None
     if check_image_si and not img.is_empty:
         image_si = is_strongly_irreducible(img).verdict
-    return CorpusInstance(seed, memory, pre.verdict, pre.scope, inj.verdict,
+    return CorpusInstance(seed, memory, pre.verdict, inj.verdict,
                           sur.verdict, h_img.value, h_img.error_bound,
                           counting_ok, image_si)
 
@@ -94,8 +93,7 @@ def _contradictions(si: bool | None, h_dom: float, h_dom_err: float,
     if si is True and inst.pre_injective is True:
         if inst.surjective is False:
             out.append(f"seed {inst.seed}: pre-injective endomorphism of a "
-                       f"strongly irreducible shift is not surjective "
-                       f"(pre-injectivity scope {inst.pre_injective_scope})")
+                       f"strongly irreducible shift is not surjective")
         slack = 2 * _ENTROPY_TOL + h_dom_err + inst.h_image_err
         if abs(h_dom - inst.h_image) > slack:
             out.append(f"seed {inst.seed}: entropy not preserved "

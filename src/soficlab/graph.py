@@ -33,14 +33,11 @@ class LabeledGraph:
         Vertex count; vertices are the ints ``0..n_vertices-1``.
     edges : tuple of (int, int, int)
         ``(src, dst, symbol_rank)`` triples.  Stored sorted and deduplicated.
-    vertex_names : tuple of str, optional
-        Display names, same length as the vertex count.
     """
 
     alphabet: Alphabet
     n_vertices: int
     edges: tuple[tuple[int, int, int], ...]
-    vertex_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n_vertices < 0:
@@ -53,16 +50,6 @@ class LabeledGraph:
             if not (0 <= a < na):
                 raise ValueError(f"edge label rank {a} out of range")
         object.__setattr__(self, "edges", canon)
-        if self.vertex_names is not None:
-            names = tuple(self.vertex_names)
-            if len(names) != self.n_vertices:
-                raise ValueError("vertex_names length mismatch")
-            object.__setattr__(self, "vertex_names", names)
-
-    def name_of(self, v: int) -> str:
-        if self.vertex_names is not None:
-            return self.vertex_names[v]
-        return str(v)
 
     def out_map(self) -> list[list[tuple[int, int]]]:
         """Per-vertex list of ``(dst, symbol_rank)``, edge order."""
@@ -87,10 +74,7 @@ def subgraph(g: LabeledGraph, keep) -> tuple[LabeledGraph, list[int]]:
     pos = {v: i for i, v in enumerate(old)}
     edges = tuple((pos[s], pos[d], a) for s, d, a in g.edges
                   if s in pos and d in pos)
-    names = None
-    if g.vertex_names is not None:
-        names = tuple(g.vertex_names[v] for v in old)
-    return LabeledGraph(g.alphabet, len(old), edges, names), old
+    return LabeledGraph(g.alphabet, len(old), edges), old
 
 
 def core_vertices(n: int, edges) -> list[bool]:
@@ -361,13 +345,6 @@ def follower_reduce(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     """
     if not g.is_right_resolving():
         raise ValueError("follower_reduce needs a right-resolving graph")
-    n = g.n_vertices
     cls, nclasses = refine_classes(transition_rows(g))
     edges = {(cls[s], cls[d], a) for s, d, a in g.edges}
-    names = None
-    if g.vertex_names is not None:
-        rep = {}
-        for v in range(n):
-            rep.setdefault(cls[v], g.name_of(v))
-        names = tuple(rep[c] for c in range(nclasses))
-    return LabeledGraph(g.alphabet, nclasses, tuple(edges), names), cls
+    return LabeledGraph(g.alphabet, nclasses, tuple(edges)), cls

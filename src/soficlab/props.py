@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .base import ConfigurationWindow, Decision, Word
 from .dfa import (FactorialDfa, backward_subsets, shortest_sync,
-                  shortest_words, to_graph)
+                  shortest_words)
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, bfs_levels, cycle_gcd, directed_diameter,
@@ -128,16 +128,11 @@ class GlueRequest:
 
 # ---------------------------------------------------------------- helpers
 
-def _acceptor_graph(x: Shift) -> LabeledGraph:
-    """The acceptor as a labeled graph; memoised on ``x``."""
-    return x.derived("acceptor_graph", lambda y: to_graph(y.acceptor))
-
-
 def _condensation(x: Shift) -> list[list[int]]:
     """Strongly connected components of the acceptor, sinks first (see
     :func:`strongly_connected_components`); memoised on ``x``."""
     return x.derived("condensation", lambda y: strongly_connected_components(
-        _acceptor_graph(y)))
+        y.acceptor_graph))
 
 
 def _post_all_masks(d: FactorialDfa) -> list[int]:
@@ -320,7 +315,7 @@ def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
 def _synchronized_cover(x: Shift):
     w = synchronizing_word(x)
     comp = next(c for c in _condensation(x) if w.vertex in c)
-    cover, old = subgraph(_acceptor_graph(x), comp)
+    cover, old = subgraph(x.acceptor_graph, comp)
     res = shortest_sync(transition_rows(cover), range(cover.n_vertices),
                         len(x.alphabet))
     if res is None:

@@ -10,9 +10,10 @@ objects: an essential presentation, and the minimal acceptor of the block
 language from one subset construction (Lind & Marcus, *Symbolic Dynamics
 and Coding*, 3.3-3.4); every query runs against these.  Everything else
 is derived and memoised on the instance on first use, see
-:meth:`Memo.derived`: the right-resolving reduced presentation (read by
-the map layer on sofic-kind domains), irreducibility data, synchronized
-cover, mixing report, gap certificate and spectral entropy.
+:meth:`Memo.derived`: the acceptor as a graph and its essential part (the
+past-determined presentation the map layer reads on sofic-kind domains),
+irreducibility data, synchronized cover, mixing report, gap certificate
+and spectral entropy.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from . import dfa as _dfa
 from .base import Alphabet, CellularAutomaton, Decision, Memo, Word
 from .dfa import _STATE_CAP
 from .errors import AlphabetMismatch, EmptyShift, StateBlowup
-from .graph import (LabeledGraph, block_name, essentialize, follower_reduce,
-                    path_graph)
+from .graph import LabeledGraph, essentialize, follower_reduce, path_graph
 
 
 @dataclass(frozen=True)
@@ -122,29 +122,18 @@ def sft_to_graph(spec: SftSpec, cap: int = _STATE_CAP) -> LabeledGraph:
     move, term = _forbidden_matcher([w.ranks() for w in spec.forbidden], na)
     # appending to an already-clean block can only introduce a forbidden
     # factor as a suffix, which the next state's terminal flag records
-    level = [((), 0, 0)]  # (block, its number, matcher state)
+    level = [(0, 0)]  # (block number, matcher state), blocks in rank order
     for _ in range(m - 1):
-        level = [(w + (a,), code * na + a, t) for w, code, s in level
+        level = [(code * na + a, t) for code, s in level
                  for a, t in enumerate(move[s]) if not term[t]]
         if len(level) > cap:
             raise StateBlowup(f"SFT presentation exceeds {cap} vertices")
     size = na ** (m - 1)
-    vid = {code: i for i, (_, code, _) in enumerate(level)}
+    vid = {code: i for i, (code, _) in enumerate(level)}
     edges = [(i, vid[(code * na + a) % size], a)
-             for i, (_, code, s) in enumerate(level)
+             for i, (code, s) in enumerate(level)
              for a, t in enumerate(move[s]) if not term[t]]
-    names = tuple(block_name(spec.alphabet, w) if w else "^"
-                  for w, _, _ in level)
-    return LabeledGraph(spec.alphabet, len(level), tuple(edges), names)
-
-
-def _reduced_presentation(x: "Shift") -> LabeledGraph:
-    """Follower reduction of the essential part of the subset automaton of
-    ``x.essential`` (from the set of all vertices): a right-resolving
-    reduced presentation of a shift whose essential graph is not
-    right-resolving."""
-    subset = _dfa.determinize(x.essential)
-    return follower_reduce(essentialize(_dfa.to_graph(subset))[0])[0]
+    return LabeledGraph(spec.alphabet, len(level), tuple(edges))
 
 
 class Shift(Memo):
@@ -171,11 +160,13 @@ class Shift(Memo):
     window : int or None
         For ``"sft"`` kind: a length w such that vertices of ``essential``
         correspond to allowed (w-1)-blocks, so each point has a unique
-        presenting path.  None for sofic-kind shifts.
+        presenting path, determined by the past.  None for sofic-kind
+        shifts, whose past-determined presentation is
+        :attr:`deterministic`.
 
     ``essential`` and ``acceptor`` are built at construction; everything
-    else, :attr:`deterministic` included, is derived and memoised on first
-    use (:meth:`derived`).
+    else, :attr:`acceptor_graph` and :attr:`deterministic` included, is
+    derived and memoised on first use (:meth:`derived`).
     """
 
     __slots__ = ("alphabet", "kind", "origin", "essential", "acceptor",
@@ -192,9 +183,8 @@ class Shift(Memo):
         self.window = window
         self._derived: dict = {}
         if g.is_right_resolving():
-            # reduced first, so a reduced presentation maps to itself; the
-            # reduction is the memoised ``deterministic``
-            g = self._derived["deterministic"] = follower_reduce(g)[0]
+            # reduced first, so a reduced presentation maps to itself
+            g = follower_reduce(g)[0]
         self.acceptor = _dfa.minimize(_dfa.determinize(g))
 
     @classmethod
@@ -209,10 +199,28 @@ class Shift(Memo):
         return cls(g, "sofic", g, None)
 
     @property
+    def acceptor_graph(self) -> LabeledGraph:
+        """The acceptor as a labeled graph, memoised."""
+        return self.derived("acceptor_graph",
+                            lambda x: _dfa.to_graph(x.acceptor))
+
+    @property
     def deterministic(self) -> LabeledGraph:
-        """Right-resolving reduced presentation (empty for the empty
-        shift), memoised."""
-        return self.derived("deterministic", _reduced_presentation)
+        """Essential part of the acceptor graph, memoised (empty for the
+        empty shift).
+
+        A right-resolving, follower-separated presentation whose paths are
+        determined by the past: the acceptor reads the whole language from
+        state 0, and the state reached by ever longer suffixes of a
+        left-infinite past stabilises (follower sets only shrink), so each
+        point is presented by a path whose vertex at j depends on
+        x(-inf, j) alone.  Such paths are bi-infinite, so they stay in the
+        essential part, which is closed under successors.  It can be larger
+        than the follower reduction of an essential graph: the even shift's
+        has a third state, reached by the past 1^inf, whose parity is open.
+        """
+        return self.derived("deterministic",
+                            lambda x: essentialize(x.acceptor_graph)[0])
 
     @property
     def is_empty(self) -> bool:

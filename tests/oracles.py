@@ -83,6 +83,43 @@ def _graph_contains(g, w):
     return bool(cur)
 
 
+def common_extension(x, wa, wb) -> bool:
+    """Do some left-infinite u and right-infinite v make both u.wa.v and
+    u.wb.v points of ``x``?  Read from ``x.origin`` alone (an SFT through
+    :func:`sft_graph_by_suffix_scan`): vertex pairs with an infinite
+    equal-label path into them, and out of them, are what survives
+    dropping pairs with no such step until none is left; the words are
+    then read from each pair of the first kind."""
+    g = x.origin
+    if isinstance(g, SftSpec):
+        g = sft_graph_by_suffix_scan(g, 10 ** 6)
+    out = [[] for _ in range(g.n_vertices)]
+    into = [[] for _ in range(g.n_vertices)]
+    for s, d, a in g.edges:
+        out[s].append((d, a))
+        into[d].append((s, a))
+
+    def endless(adj):
+        live = set(itertools.product(range(g.n_vertices), repeat=2))
+        while True:
+            keep = {(p, q) for p, q in live
+                    if any((p2, q2) in live for p2, a in adj[p]
+                           for q2, b in adj[q] if a == b)}
+            if keep == live:
+                return live
+            live = keep
+
+    def read(states, w):
+        for a in w:
+            states = {d for s in states for d, b in out[s] if b == a}
+        return states
+
+    ahead = endless(out)
+    return any((p, q) in ahead
+               for u, v in endless(into)
+               for p in read({u}, wa) for q in read({v}, wb))
+
+
 def words_up_to(x, max_len):
     """All language words of length 0..max_len, by prefix extension."""
     syms = x.alphabet.symbols
@@ -294,10 +331,8 @@ def sft_graph_by_suffix_scan(spec, cap):
     """Vertex-per-block presentation of an SFT, built level by level: a
     block is extended by a symbol unless some forbidden word is a suffix of
     the extension, each forbidden word tested in turn.  Vertices are the
-    clean blocks of length ``window - 1`` in lexicographic order, named by
-    their symbols (concatenated when every symbol is one character,
-    comma-joined otherwise; ``^`` for the empty block); raises StateBlowup
-    when a level exceeds ``cap`` blocks."""
+    clean blocks of length ``window - 1`` in lexicographic order; raises
+    StateBlowup when a level exceeds ``cap`` blocks."""
     m = spec.window
     na = len(spec.alphabet)
     bad = [w.ranks() for w in spec.forbidden]
@@ -319,10 +354,7 @@ def sft_graph_by_suffix_scan(spec, cap):
             ext = w + (a,)
             if not blocked(ext):
                 edges.append((vid[w], vid[ext[1:] if m > 1 else ()], a))
-    syms = spec.alphabet.symbols
-    sep = "" if all(len(x) == 1 for x in syms) else ","
-    names = tuple(sep.join(syms[r] for r in w) if w else "^" for w in verts)
-    return LabeledGraph(spec.alphabet, len(verts), tuple(edges), names)
+    return LabeledGraph(spec.alphabet, len(verts), tuple(edges))
 
 
 def nerode_classes(trans):

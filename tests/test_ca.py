@@ -55,13 +55,18 @@ class TestPairGraph:
 
     def test_diagonal_pairs_present(self, full2):
         pg = pair_graph(xor_ca(), full2)
-        assert pg.width == 2 and pg.exact
+        assert pg.width == 2
         diag = [e for e in pg.edges if not e[4]]
         assert diag  # equal-block pairs always map to equal symbols
 
-    def test_sofic_domain_not_exact(self, even):
+    def test_sofic_domain_reads_the_acceptor_part(self, even):
+        # the pair graph of a sofic domain recodes the essential part of its
+        # acceptor (three states for the even shift), not the two-vertex
+        # essential graph the image recodes
+        det = even.deterministic
+        assert det.n_vertices == 3 and det.is_right_resolving()
         pg = pair_graph(xor_ca(), even)
-        assert not pg.exact
+        assert pg.n_base == len(det.edges)  # width 2: one vertex per edge
 
     def test_deterministic_edge_order(self, golden):
         a = pair_graph(identity_ca(golden.alphabet), golden)
@@ -101,9 +106,9 @@ class TestPreInjectivity:
                 assert ia.text == apply_to_word(t, wb).text == d.witness.image.text
 
     def test_sofic_domain_scope(self, even):
+        # exact on every domain: a clean verdict is about points too
         d = is_pre_injective(xor_ca(), even)
-        assert d.verdict is True and d.scope == "presentation"
-        assert "pair-graph criterion" in d.note
+        assert d.verdict is True and d.scope == "point" and d.note == ""
 
     def test_collapse_on_two_points_is_pre_injective(self, twopoint):
         # the two fixed points differ everywhere, so they are not an
@@ -134,9 +139,12 @@ class TestInjectivity:
             assert ia.text == ib.text == w.image.text
 
     def test_xor_on_even_periodic_pair(self, even):
+        # 1^inf 0^inf and 0^inf 1^inf, read in the acceptor part
         d = is_injective(xor_ca(), even)
         assert d.verdict is False
-        assert d.witness.left_period == 2 and d.witness.right_period == 2
+        w = d.witness
+        assert (w.first.text, w.second.text) == ("110000", "001111")
+        assert w.left_period == 1 and w.right_period == 2
 
     def test_identity_injective(self, shifts):
         for name in ("full2", "golden", "even"):
@@ -401,39 +409,81 @@ class TestGardenOfEdenWord:
         assert checked >= 50
 
 
-class TestSoficRefutation:
-    """The point-level search on a domain without unique presenting paths
-    (here the even shift) returns a genuine equal-image pair."""
+def _common_context(x, t, wit, m_max=10):
+    """A pair (left, right) of constant contexts such that, for every
+    m <= m_max, left^m w right^m is a block of ``x.origin`` for both words
+    w of the diamond and the two extended words have equal table images;
+    None when no such pair exists.  Never reads the acceptor."""
+    wa, wb = wit.first.word.ranks(), wit.second.word.ranks()
+    for left, right in itertools.product(range(len(x.alphabet)), repeat=2):
+        if all(origin_contains(x, (left,) * m + w + (right,) * m)
+               for m in range(m_max + 1) for w in (wa, wb)) and all(
+                _table_image(t, (left,) * m + wa + (right,) * m)
+                == _table_image(t, (left,) * m + wb + (right,) * m)
+                for m in range(m_max + 1)):
+            return x.alphabet.symbols[left], x.alphabet.symbols[right]
+    return None
+
+
+class TestExactPreInjectivity:
+    """Pre-injectivity on domains without unique presenting paths: the
+    pair graph of the acceptor part searched for a flagged pair in the tail
+    set, each refutation checked against ``x.origin`` alone."""
+
+    def test_seed_993_on_even(self, even):
+        # a surjective endomorphism of the even shift that is not
+        # pre-injective: the Moore property fails on this strongly
+        # irreducible sofic shift
+        t = random_ca(even.alphabet, even.alphabet, (0, 3), 993)
+        d = is_pre_injective(t, even)
+        assert d.verdict is False and d.scope == "point"
+        assert is_surjective(t, even, even).verdict is True
+        a, b = d.witness.first.word, d.witness.second.word
+        assert (a.text, b.text) == ("111011011", "111100011")
+        for m in range(11):
+            ea = (1,) * m + a.ranks() + (0,) * m
+            eb = (1,) * m + b.ranks() + (0,) * m
+            assert origin_contains(even, ea) and origin_contains(even, eb)
+            assert _table_image(t, ea) == _table_image(t, eb)
+        assert _table_image(t, a.ranks()) == _table_image(t, b.ranks()) \
+            == d.witness.image.ranks()
+
+    def test_width3_refutations_on_even(self, even):
+        a = even.alphabet
+        refuted = 0
+        for table in itertools.product(a.symbols, repeat=8):
+            t = CellularAutomaton(a, a, 0, 2, table)
+            d = is_pre_injective(t, even)
+            assert d.scope == "point"
+            if d.verdict:
+                continue
+            refuted += 1
+            wa, wb = d.witness.first.word, d.witness.second.word
+            assert wa != wb and len(wa) == len(wb)
+            assert wa.text[:2] == wb.text[:2] and wa.text[-2:] == wb.text[-2:]
+            assert _table_image(t, wa.ranks()) == d.witness.image.ranks()
+            assert _common_context(even, t, d.witness) is not None, table
+        assert refuted == 140
 
     def test_constant_rule_on_even(self, even):
-        from soficlab.ca import _sofic_refutation
+        d = is_pre_injective(constant_ca(even.alphabet, "0"), even)
+        assert d.verdict is False and d.scope == "point"
+        w = d.witness
+        assert (w.first.word.text, w.second.word.text, w.image.text) \
+            == ("0", "1", "0")
 
-        t = constant_ca(even.alphabet, "0")
-        wit, stopped = _sofic_refutation(t, even, pair_graph(t, even))
-        assert stopped is None
-        a, b = wit.first.word, wit.second.word
-        assert (a.text, b.text, wit.image.text) == ("01100", "00000", "00000")
-        assert a != b and len(a) == len(b)
-        assert origin_contains(even, a.ranks())
-        assert origin_contains(even, b.ranks())
-        # the sync word "0" is the loop at the synchronized state and the
-        # tail, so both words are pad + middle + tail + pad with pad = "0"
-        assert a.text[:1] == b.text[:1] == "0"
-        assert a.text[-2:] == b.text[-2:] == "00"
-        assert _table_image(t, a.ranks()) == _table_image(t, b.ranks()) \
-            == wit.image.ranks()
-
-    def test_search_cap_keeps_verdict_and_names_it(self, monkeypatch,
-                                                   capsys):
-        import soficlab.ca as ca
-        from soficlab.cli import main
-
-        monkeypatch.setattr(ca, "_SEARCH_CAP", 3)
-        assert main(["ca", "analyze", "even", "identity"]) == 0
-        out = capsys.readouterr().out
-        assert "#: pre_injective 1 presentation" in out
-        assert ("[pair-graph criterion passed; point-level search stopped "
-                "at middle length 3, past its cap of 3 middles]") in out
+    def test_golden_diamond_ends_before_the_diagonal(self, golden):
+        # the diamond stops at the tail pair (00, 10) of the recoded
+        # graph; one identical step more, on "0", reaches the diagonal,
+        # where a diagonal-to-diagonal search would stop: 0000 vs 0100
+        a = golden.alphabet
+        t = CellularAutomaton(a, a, 0, 1, ("0",) * 4)
+        d = is_pre_injective(t, golden)
+        assert d.verdict is False
+        wa, wb = d.witness.first.word.text, d.witness.second.word.text
+        assert (wa, wb, d.witness.image.text) == ("000", "010", "00")
+        assert wa[-2:] != wb[-2:] and wa[-1] == wb[-1]
+        assert _common_context(golden, t, d.witness) == ("0", "0")
 
 
 class TestComputedOncePerRule:
@@ -466,15 +516,16 @@ class TestComputedOncePerRule:
         assert calls == {"path_graph": 1, "_diamond_search": 1}
 
     def test_sofic_search_runs_once(self, monkeypatch, capsys):
-        # identity on the even shift: no diamond, a domain without unique
-        # presenting paths, so the point-level search decides
+        # identity on the even shift: one pair-graph search decides, at
+        # point scope, and one pass finds its tail set
         import soficlab.ca as ca
         from soficlab.cli import main
 
-        calls = self._count(monkeypatch, ca, ("_sofic_refutation",))
+        calls = self._count(monkeypatch, ca,
+                            ("_diamond_search", "_tail_pairs"))
         assert main(["ca", "analyze", "even", "identity"]) == 0
-        assert "#: pre_injective 1 presentation" in capsys.readouterr().out
-        assert calls == {"_sofic_refutation": 1}
+        assert "#: pre_injective 1 point" in capsys.readouterr().out
+        assert calls == {"_diamond_search": 1, "_tail_pairs": 1}
 
     def _count_canonical(self, monkeypatch):
         """Subset constructions and follower reductions run by shifts."""
@@ -506,8 +557,9 @@ class TestComputedOncePerRule:
         assert calls == {"determinize": 1, "follower_reduce": 0}
 
     def test_sofic_domain_reduces_once(self, monkeypatch, capsys):
-        # even's graph is right-resolving: its reduction feeds the acceptor
-        # and is the presentation the map layer reads; the image likewise
+        # even's graph is right-resolving: its reduction feeds the acceptor;
+        # the image likewise.  The pair graph reads the acceptor part, which
+        # needs neither
         from soficlab.cli import main
 
         calls = self._count_canonical(monkeypatch)

@@ -207,9 +207,13 @@ class TestCliCorpus:
         assert "#: example" in out
 
     def test_bad_memory_exit_one(self, capsys):
-        assert main(["corpus", "--shift", "full2", "--count", "2",
-                     "--memory", "banana"]) == 1
-        assert "bad memory interval" in capsys.readouterr().err
+        for memory in ("banana", "2..0", "0..1..2"):
+            with pytest.raises(SystemExit) as ei:
+                main(["corpus", "--shift", "full2", "--count", "2",
+                      "--memory", memory])
+            assert ei.value.code == 1
+            assert f"bad memory interval {memory!r}" in \
+                capsys.readouterr().err
 
 
 class TestCliEmptyDomain:
@@ -278,6 +282,8 @@ class TestCliContract:
         "lemma41 check golden --d 0",
         "lemma41 check golden --n -1",
         "shift analyze golden --n-max x",
+        "corpus --shift full2 --count 2 --memory 2..0",
+        "corpus --shift full2 --count 2 --memory banana",
     ])
     def test_bad_argument_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as ei:

@@ -303,6 +303,7 @@ class TestComputedOncePerShift:
                                                     monkeypatch, capsys):
         import sys
 
+        import soficlab.dfa as dfa
         import soficlab.props as props
         from soficlab.cli import main
         from soficlab.graph import strongly_connected_components as scc
@@ -317,9 +318,10 @@ class TestComputedOncePerShift:
             return wrapper
 
         # in props, subgraph only cuts the synchronized cover out of the
-        # acceptor graph, and to_graph only graphs the acceptor
-        for name in ("backward_subsets", "subgraph", "to_graph"):
+        # acceptor graph; the shift graphs its acceptor through dfa.to_graph
+        for name in ("backward_subsets", "subgraph"):
             monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
+        monkeypatch.setattr(dfa, "to_graph", counted("to_graph", dfa.to_graph))
         # every package module that imported the condensation pass
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("soficlab") and \

@@ -171,4 +171,5 @@ class TestAcceptorCanonicity:
         # follower automaton: fresh/complete-run state, left-open 1-run,
         # closed odd 1-run
         assert even.acceptor.n_states == 3
-        assert even.deterministic.n_vertices == 2
+        # all three are essential: the fresh state loops on 1
+        assert even.deterministic.n_vertices == 3
