@@ -16,7 +16,7 @@ bits = Alphabet(("0", "1"))
 # golden-mean shift: no two adjacent ones
 golden = Shift.from_forbidden(bits, ["11"])
 print("golden from forbidden list:", golden.alphabet.symbols,
-      "window", golden.window)
+      "forbidding", [w.text for w in golden.origin.forbidden])
 
 # the same language as a two-vertex graph: vertex 0 may emit 0 or 1,
 # vertex 1 only 0
@@ -27,10 +27,10 @@ print("graph presentation equal to forbidden-word presentation:",
       d.verdict)
 
 # even shift: ones come in blocks of even length; this one is sofic but
-# not of finite type, so window is None
+# not of finite type, so no list of forbidden words describes it
 even = Shift.from_graph(LabeledGraph(bits, 2,
                                      ((0, 0, 0), (0, 1, 1), (1, 0, 1))))
-print("even shift window:", even.window)
+print("even shift kind:", even.kind)
 
 d = equal_shifts(golden, even)
 print("golden equal to even:", d.verdict,

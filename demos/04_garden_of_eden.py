@@ -10,8 +10,8 @@ checked by hand.
 """
 
 from soficlab import (CellularAutomaton, bundled_shift, bundled_ca,
-                      apply_to_word, is_injective, is_pre_injective,
-                      is_surjective, check_myhill, constant_ca, xor_ca)
+                      is_injective, is_pre_injective, is_surjective,
+                      check_myhill, constant_ca, xor_ca)
 
 full2 = bundled_shift("full2")
 twopoint = bundled_shift("twopoint")
@@ -19,7 +19,7 @@ twopoint = bundled_shift("twopoint")
 # rule 1: xor of the two cells in the window. Pre-injective and onto,
 # but gluing the constant-0 and constant-1 points shows it is 2-to-1.
 xor = xor_ca()
-print("xor('0110') =", apply_to_word(xor, full2.word("0110")).text)
+print("xor('0110') =", xor.apply(full2.word("0110")).text)
 inj = is_injective(xor, full2)
 print("xor injective:", inj.verdict)
 w = inj.witness

@@ -5,11 +5,10 @@ from .base import (Alphabet, CellularAutomaton, ConfigurationWindow, Decision,
                    Word)
 from .bundled import bundled_ca, bundled_names, bundled_raw_ca, bundled_shift
 from .ca import (DiamondWitness, EntropyPreservationReport, MyhillReport,
-                 PairGraph, PointPairWitness, apply_to_word,
-                 check_entropy_preservation, check_myhill, constant_ca,
-                 identity_ca, image_presentation, is_injective,
-                 is_pre_injective, is_surjective, pair_graph, random_ca,
-                 search_moore_counterexample, xor_ca)
+                 PairGraph, PointPairWitness, check_entropy_preservation,
+                 check_myhill, constant_ca, identity_ca, image_presentation,
+                 is_injective, is_pre_injective, is_surjective, pair_graph,
+                 random_ca, search_moore_counterexample, xor_ca)
 from .corpus import (CorpusInstance, CorpusReport, instance_lines,
                      run_bundled_examples, run_corpus)
 from .entropy import (EntropyEstimate, FolnerWindow, block_count,

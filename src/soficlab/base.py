@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from .errors import AlphabetMismatch, TableTooLarge
+from .errors import AlphabetMismatch, TableTooLarge, WordTooShort
 
 _TABLE_CAP = 1 << 22  # max local-rule table entries
 
@@ -288,12 +288,14 @@ class CellularAutomaton(Memo):
         """Slide the rule across a word; output has length ``len - width + 1``.
 
         The result is the sequence of rule outputs on consecutive windows,
-        with no coordinate shift applied.  A word shorter than the width
-        gives the empty word.
+        with no coordinate shift applied.  Raises WordTooShort when no full
+        window fits.
         """
-        w = self.source.word(word)
-        ranks = w.ranks()
+        ranks = self.source.word(word).ranks()
         k = self.width
+        if len(ranks) < k:
+            raise WordTooShort(
+                f"word of length {len(ranks)} is shorter than the rule width {k}")
         out = tuple(self.table[self.block_rank(ranks[i:i + k])]
                     for i in range(len(ranks) - k + 1))
         return Word(self.target, out)

@@ -7,14 +7,15 @@ edges are k-blocks with k at least the rule width, so each edge determines
 one output symbol.  Questions about pairs of points become reachability
 questions in the product of that graph with itself, restricted to edge
 pairs producing the same output.  The image recodes the essential
-presentation; the pair graph recodes a past-determined one (the essential
-graph of a window-defined domain, :attr:`Shift.deterministic` otherwise),
-which makes pre-injectivity exact on every domain.
+presentation; the pair graph recodes the past-determined one,
+:attr:`Shift.deterministic`, on every domain, which makes pre-injectivity
+exact.
 
-Each (rule, domain) pair is analysed once: the recoding, pair graph, image
-and injectivity verdicts are cached on the rule under (name, domain), and
-the image's inclusion in a target under (name, domain, target), shifts
-hashing by identity (:meth:`Memo.derived`).  They are shared by every later
+Each (rule, domain) pair is analysed once: the pair graph, image and
+injectivity verdicts are cached on the rule under (name, domain), the
+image's inclusion in a target under (name, domain, target), shifts hashing
+by identity, and each recoding under the presentation it reads, graphs
+hashing by value (:meth:`Memo.derived`).  They are shared by every later
 call, must not be mutated, and are freed with the rule.
 """
 
@@ -29,24 +30,16 @@ from .base import (_TABLE_CAP, Alphabet, CellularAutomaton, ConfigurationWindow,
                    Decision, Word)
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import (AlphabetMismatch, NotEndomorphism, NotIntoTarget,
-                     TableTooLarge, WordTooShort)
-from .graph import LabeledGraph, core_vertices, path_graph
+                     TableTooLarge)
+from .graph import (LabeledGraph, core_vertices, infinite_path_starts,
+                    path_graph)
 from .props import is_strongly_irreducible
 from .shift import Shift, equal_shifts, language_included
 
 
-def apply_to_word(t: CellularAutomaton, w) -> Word:
-    """Slide the rule across a finite word; output length is
-    len(w) - width + 1.  Raises WordTooShort when no full window fits."""
-    w = t.source.word(w)
-    if len(w) < t.width:
-        raise WordTooShort(
-            f"word of length {len(w)} is shorter than the rule width {t.width}")
-    return t.apply(w)
-
-
 def _per_domain(fn):
-    """Memoise ``fn(t, x)`` on the rule ``t``, keyed by the domain ``x``."""
+    """Memoise ``fn(t, x)`` on the rule ``t``, keyed by the domain ``x``
+    (by identity; :func:`_recode` keys by the presentation's value)."""
     @functools.wraps(fn)
     def memoised(t: CellularAutomaton, x: Shift):
         return t.derived((fn.__name__, x), lambda t: fn(t, x))
@@ -89,34 +82,27 @@ def _check_source(t: CellularAutomaton, x: Shift) -> None:
         raise AlphabetMismatch("the rule reads a different alphabet")
 
 
-def _one_block(t: CellularAutomaton, g: LabeledGraph):
-    """One-block form: the path graph whose edges are the width-blocks of
-    ``g``, the blocks, and the output rank of each."""
-    if g.n_vertices == 0:
-        # no blocks, so no block alphabet: the image is the empty shift
-        return LabeledGraph(g.alphabet, 0, ()), (), ()
-    pg, blocks = path_graph(g, t.width)
-    out = _output_ranks(t)
-    return pg, blocks, tuple(out[t.block_rank(b)] for b in blocks)
-
-
-@_per_domain
-def _recode(t: CellularAutomaton, x: Shift):
-    """:func:`_one_block` of the essential presentation of ``x``."""
-    _check_source(t, x)
-    return _one_block(t, x.essential)
+def _recode(t: CellularAutomaton, g: LabeledGraph):
+    """One-block form of the presentation ``g``: the path graph whose edges
+    are the width-blocks of ``g``, the blocks, and the output rank of each.
+    Memoised on the rule by the value of ``g``, so a domain whose essential
+    graph and :attr:`Shift.deterministic` are equal is recoded once."""
+    def build(t: CellularAutomaton):
+        if g.n_vertices == 0:
+            # no blocks, so no block alphabet: the image is the empty shift
+            return LabeledGraph(g.alphabet, 0, ()), (), ()
+        pg, blocks = path_graph(g, t.width)
+        out = _output_ranks(t)
+        return pg, blocks, tuple(out[t.block_rank(b)] for b in blocks)
+    return t.derived(("recode", g), build)
 
 
 @_per_domain
 def pair_graph(t: CellularAutomaton, x: Shift) -> PairGraph:
-    """The pair graph over a past-determined presentation of ``x``: its
-    essential graph when ``x`` is window-defined (that recoding is shared
-    with the image), :attr:`Shift.deterministic` otherwise."""
+    """The pair graph over :attr:`Shift.deterministic`, the past-determined
+    presentation of ``x``, on every domain."""
     _check_source(t, x)
-    if x.window is not None:
-        pg, blocks, img = _recode(t, x)
-    else:
-        pg, blocks, img = _one_block(t, x.deterministic)
+    pg, blocks, img = _recode(t, x.deterministic)
     n = pg.n_vertices
     by_src = pg.out_map()
     pedges = []
@@ -176,9 +162,8 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
     """Can two points agreeing outside a finite set share their image?
 
     Decided exactly on every domain by :func:`_diamond_search` over the pair
-    graph of a past-determined presentation, in which the vertex at j of a
-    point's presenting path depends on x(-inf, j) alone (window-defined
-    domains: the essential graph; others: :attr:`Shift.deterministic`).
+    graph of :attr:`Shift.deterministic`, a presentation in which the vertex
+    at j of a point's presenting path depends on x(-inf, j) alone.
     Two asymptotic points then start on the diagonal, take a flagged edge
     where they differ and, after their last difference, read identical
     blocks forever, possibly in different states.  Conversely such a pair
@@ -205,20 +190,9 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
 
 def _tail_pairs(pgr: PairGraph) -> list[bool]:
     """Flags of the pairs from which an infinite path of unflagged
-    (identical-block) edges starts: those reaching the core of the
-    unflagged edges along such edges.  One O(V + E) pass."""
-    same = [e for e in pgr.edges if not e[4]]
-    tail = core_vertices(pgr.n_pairs, same)
-    into: list[list[int]] = [[] for _ in range(pgr.n_pairs)]
-    for e in same:
-        into[e[1]].append(e[0])
-    stack = [v for v, alive in enumerate(tail) if alive]
-    while stack:
-        for u in into[stack.pop()]:
-            if not tail[u]:
-                tail[u] = True
-                stack.append(u)
-    return tail
+    (identical-block) edges starts."""
+    return infinite_path_starts(pgr.n_pairs,
+                                [e for e in pgr.edges if not e[4]], 0, 1)
 
 
 def _diamond_search(pgr: PairGraph):
@@ -324,23 +298,14 @@ def _periodic_pair(pgr: PairGraph, alive_edges, e,
     return PointPairWitness(wa, wb, left_period, right_period, img)
 
 
-def image_presentation(t: CellularAutomaton, x: Shift,
-                       self_check_n: int = 0) -> Shift:
-    """The image shift: relabel each k-block edge of the recoded domain by
-    its output symbol; memoised.  ``self_check_n`` > 0 additionally verifies
-    the image language against brute-force block images up to that length."""
-    pg, _, img = _recode(t, x)
-    y = t.derived(("image", x), lambda t: Shift.from_graph(LabeledGraph(
-        t.target, pg.n_vertices, tuple((s, d, img[a]) for s, d, a in pg.edges))))
-    # n = 0 is skipped: an empty domain has no (width-1)-block, yet its
-    # image has the empty word
-    if self_check_n > 0:
-        for n in range(1, self_check_n + 1):
-            direct = {t.apply(w).text for w in x.blocks(n + t.width - 1)}
-            if direct != {w.text for w in y.blocks(n)}:
-                raise RuntimeError(
-                    f"image presentation disagrees with direct images at {n}")
-    return y
+@_per_domain
+def image_presentation(t: CellularAutomaton, x: Shift) -> Shift:
+    """The image shift: relabel each k-block edge of the recoded essential
+    presentation of ``x`` by its output symbol."""
+    _check_source(t, x)
+    pg, _, img = _recode(t, x.essential)
+    return Shift.from_graph(LabeledGraph(t.target, pg.n_vertices, tuple(
+        (s, d, img[a]) for s, d, a in pg.edges)))
 
 
 def image_included(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:

@@ -77,41 +77,38 @@ def subgraph(g: LabeledGraph, keep) -> tuple[LabeledGraph, list[int]]:
     return LabeledGraph(g.alphabet, len(old), edges), old
 
 
+def infinite_path_starts(n: int, edges, src: int, dst: int) -> list[bool]:
+    """Flags of the vertices from which an infinite path starts, reading
+    each edge from its field ``src`` to its field ``dst``; one O(V + E)
+    peel of the vertices whose every step leads to a peeled vertex.
+
+    ``edges`` are tuples (extra fields are ignored), so labeled and
+    pair-graph edges both fit; ``src=1, dst=0`` follows edges backwards,
+    to the vertices an infinite path ends in.
+    """
+    steps = [0] * n
+    for e in edges:
+        steps[e[src]] += 1
+    dead = [v for v in range(n) if steps[v] == 0]
+    if dead:  # an essential graph, the common case, skips the back lists
+        back: list[list[int]] = [[] for _ in range(n)]
+        for e in edges:
+            back[e[dst]].append(e[src])
+        for v in dead:  # grows while read: each vertex is appended once
+            for u in back[v]:
+                steps[u] -= 1
+                if steps[u] == 0:
+                    dead.append(u)
+    return [k > 0 for k in steps]
+
+
 def core_vertices(n: int, edges) -> list[bool]:
     """Vertices of the largest subgraph in which every vertex has an in-
-    and an out-edge, as flags; one O(V + E) queue peel.
-
-    ``edges`` are tuples whose first two fields are source and target
-    (extra fields are ignored), so labeled and pair-graph edges both fit.
-    """
-    outdeg = [0] * n
-    indeg = [0] * n
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        s, d = e[0], e[1]
-        outdeg[s] += 1
-        indeg[d] += 1
-        out_adj[s].append(d)
-        in_adj[d].append(s)
-    dead = deque(v for v in range(n) if outdeg[v] == 0 or indeg[v] == 0)
-    alive = [True] * n
-    while dead:
-        v = dead.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w in out_adj[v]:
-            if alive[w]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    dead.append(w)
-        for w in in_adj[v]:
-            if alive[w]:
-                outdeg[w] -= 1
-                if outdeg[w] == 0:
-                    dead.append(w)
-    return alive
+    and an out-edge, as flags: those on a bi-infinite path, so with an
+    infinite path both out of them and into them."""
+    ahead = infinite_path_starts(n, edges, 0, 1)
+    behind = infinite_path_starts(n, edges, 1, 0)
+    return [a and b for a, b in zip(ahead, behind)]
 
 
 def essentialize(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:

@@ -11,7 +11,7 @@ language from one subset construction (Lind & Marcus, *Symbolic Dynamics
 and Coding*, 3.3-3.4); every query runs against these.  Everything else
 is derived and memoised on the instance on first use, see
 :meth:`Memo.derived`: the acceptor as a graph and its essential part (the
-past-determined presentation the map layer reads on sofic-kind domains),
+past-determined presentation the map layer reads on every domain),
 irreducibility data, synchronized cover, mixing report, gap certificate
 and spectral entropy.
 """
@@ -148,7 +148,8 @@ class Shift(Memo):
     origin : SftSpec or LabeledGraph
         The description the shift was built from.
     essential : LabeledGraph
-        Essential presentation.  Empty exactly when the shift is empty.
+        Essential presentation, which the image of a map recodes.  Empty
+        exactly when the shift is empty.
     acceptor : FactorialDfa
         Minimal acceptor of the block language, canonical form: minimized
         from the subset automaton of ``essential``, or, when ``essential``
@@ -157,12 +158,6 @@ class Shift(Memo):
         and minimization is canonical, so the acceptor does not depend on
         the route.  The empty shift's is the one-state acceptor of the
         empty word.
-    window : int or None
-        For ``"sft"`` kind: a length w such that vertices of ``essential``
-        correspond to allowed (w-1)-blocks, so each point has a unique
-        presenting path, determined by the past.  None for sofic-kind
-        shifts, whose past-determined presentation is
-        :attr:`deterministic`.
 
     ``essential`` and ``acceptor`` are built at construction; everything
     else, :attr:`acceptor_graph` and :attr:`deterministic` included, is
@@ -170,17 +165,15 @@ class Shift(Memo):
     """
 
     __slots__ = ("alphabet", "kind", "origin", "essential", "acceptor",
-                 "window", "_derived")
+                 "_derived")
 
-    def __init__(self, origin, kind: str, essential: LabeledGraph,
-                 window: int | None):
+    def __init__(self, origin, kind: str, essential: LabeledGraph):
         if kind not in ("sft", "sofic"):
             raise ValueError(f"bad kind {kind!r}")
         self.alphabet = essential.alphabet
         self.kind = kind
         self.origin = origin
         self.essential = g = essentialize(essential)[0]
-        self.window = window
         self._derived: dict = {}
         if g.is_right_resolving():
             # reduced first, so a reduced presentation maps to itself
@@ -191,12 +184,12 @@ class Shift(Memo):
     def from_forbidden(cls, alphabet: Alphabet, forbidden=()) -> "Shift":
         """SFT over ``alphabet`` avoiding every word in ``forbidden``."""
         spec = SftSpec(alphabet, tuple(alphabet.word(w) for w in forbidden))
-        return cls(spec, "sft", sft_to_graph(spec), spec.window)
+        return cls(spec, "sft", sft_to_graph(spec))
 
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "Shift":
         """Sofic shift presented by the labeled graph ``g``."""
-        return cls(g, "sofic", g, None)
+        return cls(g, "sofic", g)
 
     @property
     def acceptor_graph(self) -> LabeledGraph:
@@ -207,7 +200,8 @@ class Shift(Memo):
     @property
     def deterministic(self) -> LabeledGraph:
         """Essential part of the acceptor graph, memoised (empty for the
-        empty shift).
+        empty shift): the presentation the pair graph reads on every
+        domain.
 
         A right-resolving, follower-separated presentation whose paths are
         determined by the past: the acceptor reads the whole language from
@@ -299,10 +293,7 @@ def higher_block(x: Shift, k: int) -> tuple[Shift, CellularAutomaton, CellularAu
     if x.is_empty:
         raise EmptyShift("cannot recode the empty shift")
     pg, blocks = path_graph(x.essential, k)
-    window = None
-    if x.kind == "sft":
-        window = x.window if k == 1 else max(x.window, 2)
-    y = Shift(pg, x.kind, pg, window)
+    y = Shift(pg, x.kind, pg)
     brank = {b: i for i, b in enumerate(blocks)}
 
     def encode(win: tuple[str, ...]) -> str:

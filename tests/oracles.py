@@ -3,11 +3,11 @@
 Everything here favors transparency over speed: explicit word enumeration,
 per-pair set reachability, direct preimage search, frozenset closures and
 one breadth-first search per source, a suffix scan over the forbidden
-words, Myhill-Nerode table filling, and dense power iteration.  None of
-it shares algorithmic machinery with the code under test (which uses
-joint bitmask evolution, vectorised preimages, product automata, matrix
-counting, an Aho-Corasick matcher, Moore refinement and per-symbol
-gathers).  Most
+words, Myhill-Nerode table filling, a two-sided degree peel closed
+backwards, and dense power iteration.  None of it shares algorithmic
+machinery with the code under test (which uses joint bitmask evolution,
+vectorised preimages, product automata, matrix counting, an Aho-Corasick
+matcher, Moore refinement, one-sided peels and per-symbol gathers).  Most
 oracles still read membership through ``x.contains_word``, that is through
 the minimal acceptor; :func:`origin_contains` reads only the description
 the shift was built from, so it also checks canonicalization itself.
@@ -15,8 +15,10 @@ the shift was built from, so it also checks canonicalization itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -31,6 +33,19 @@ def origin_contains(x, ranks) -> bool:
     if isinstance(x.origin, SftSpec):
         return _sft_contains(x.origin, tuple(ranks))
     return _graph_contains(x.origin, tuple(ranks))
+
+
+def periodic_point_allowed(spec, w, left_period, right_period):
+    """Is the point that repeats the first ``left_period`` symbols of the
+    rank word ``w`` leftward and its last ``right_period`` rightward free of
+    the forbidden words of ``spec``?  With each period repeated ``window``
+    times, every factor of the point no longer than a forbidden word is a
+    factor of the finite word checked."""
+    m = spec.window
+    ext = w[:left_period] * m + tuple(w) + w[len(w) - right_period:] * m
+    bad = {f.ranks() for f in spec.forbidden}
+    return not any(ext[i:i + j] in bad for i in range(len(ext))
+                   for j in range(1, m + 1))
 
 
 def _sft_contains(spec, w):
@@ -65,6 +80,39 @@ def _sft_contains(spec, w):
                     nxt.add(t[max(len(t) - keep, 0):])
         tails = nxt
     return bool(tails)
+
+
+@functools.lru_cache(maxsize=None)
+def origin_blocks(x, n):
+    """Rank words of length ``n`` of ``x``, lexicographic, decided from
+    ``x.origin`` alone (never the acceptor)."""
+    return [w for w in itertools.product(range(len(x.alphabet)), repeat=n)
+            if origin_contains(x, w)]
+
+
+def table_image(t, ranks):
+    """Slide the rule table across a rank word, by hand."""
+    k, na = t.width, len(t.source)
+    out = []
+    for i in range(len(ranks) - k + 1):
+        r = 0
+        for a in ranks[i:i + k]:
+            r = r * na + a
+        out.append(t.target.index(t.table[r]))
+    return tuple(out)
+
+
+def image_mismatch(t, x, img, n_max):
+    """First length n in 1..n_max at which the n-blocks of the shift
+    ``img`` differ from the table images of the (n + width - 1)-blocks of
+    ``x`` read from its origin; None when they agree throughout.  Length 0
+    is left out: an empty domain has no (width - 1)-block, yet its image
+    has the empty word."""
+    for n in range(1, n_max + 1):
+        images = {table_image(t, u) for u in origin_blocks(x, n + t.width - 1)}
+        if images != {w.ranks() for w in img.blocks(n)}:
+            return n
+    return None
 
 
 def _graph_contains(g, w):
@@ -260,13 +308,14 @@ def gap_failure_pair(x, max_word_len, probe=None):
 
 
 def missing_preimage(t, x, y, max_len):
-    """First target word (BFS order) with no domain preimage, else None.
+    """First nonempty target word (BFS order) with no domain preimage,
+    else None.
 
-    Checks every word of y's language up to max_len against all candidate
-    domain words of the stretched length.
+    Checks every word of y's language of length 1..max_len against all
+    candidate domain words of the stretched length.
     """
     width = t.width
-    for n in range(max_len + 1):
+    for n in range(1, max_len + 1):
         for w in sorted(y.blocks(n), key=lambda b: b.ranks()):
             found = False
             for u in x.blocks(n + width - 1):
@@ -355,6 +404,58 @@ def sft_graph_by_suffix_scan(spec, cap):
             if not blocked(ext):
                 edges.append((vid[w], vid[ext[1:] if m > 1 else ()], a))
     return LabeledGraph(spec.alphabet, len(verts), tuple(edges))
+
+
+def core_by_two_sided_peel(n, edges):
+    """Vertices with an in- and an out-edge once every vertex lacking one
+    is dropped, as flags: one queue that removes such vertices and lowers
+    the in- and out-degrees of their neighbours.  ``edges`` are tuples
+    whose first two fields are source and target."""
+    outdeg = [0] * n
+    indeg = [0] * n
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    for e in edges:
+        s, d = e[0], e[1]
+        outdeg[s] += 1
+        indeg[d] += 1
+        out_adj[s].append(d)
+        in_adj[d].append(s)
+    dead = deque(v for v in range(n) if outdeg[v] == 0 or indeg[v] == 0)
+    alive = [True] * n
+    while dead:
+        v = dead.popleft()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        for w in out_adj[v]:
+            if alive[w]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    dead.append(w)
+        for w in in_adj[v]:
+            if alive[w]:
+                outdeg[w] -= 1
+                if outdeg[w] == 0:
+                    dead.append(w)
+    return alive
+
+
+def reach_core_by_closure(n, edges):
+    """Vertices from which some path reaches the two-sided core of
+    ``edges`` (:func:`core_by_two_sided_peel`), as flags: the core closed
+    backwards along the edges."""
+    tail = core_by_two_sided_peel(n, edges)
+    into = [[] for _ in range(n)]
+    for e in edges:
+        into[e[1]].append(e[0])
+    stack = [v for v, alive in enumerate(tail) if alive]
+    while stack:
+        for u in into[stack.pop()]:
+            if not tail[u]:
+                tail[u] = True
+                stack.append(u)
+    return tail
 
 
 def nerode_classes(trans):

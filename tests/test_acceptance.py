@@ -9,7 +9,7 @@ import time
 import pytest
 
 from soficlab import (CellularAutomaton, Shift,
-                      apply_to_word, is_pre_injective, is_injective,
+                      is_pre_injective, is_injective,
                       is_surjective, image_presentation, check_myhill,
                       constant_ca, identity_ca, random_ca, xor_ca,
                       run_corpus,
@@ -22,7 +22,8 @@ from soficlab import (CellularAutomaton, Shift,
                       NotMixing)
 import soficlab.bundled as bundled
 
-from oracles import minimal_gap_bruteforce, missing_preimage, words_up_to
+from oracles import (image_mismatch, minimal_gap_bruteforce,
+                     missing_preimage, words_up_to)
 
 LN2 = math.log(2.0)
 LN_PHI = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -60,9 +61,10 @@ class TestAcceptance:
         pre = is_pre_injective(t, full2)
         inj = is_injective(t, full2)
         sur = is_surjective(t, full2, full2)
-        img_equal = is_surjective(t, full2,
-                                  image_presentation(t, full2, self_check_n=6))
+        img = image_presentation(t, full2)
+        img_equal = is_surjective(t, full2, img)
         elapsed = time.monotonic() - t0
+        assert image_mismatch(t, full2, img, 6) is None
         assert pre.verdict is True
         assert inj.verdict is False
         assert sur.verdict is True
@@ -208,7 +210,7 @@ class TestAcceptance:
             if d.verdict is False:
                 goe = d.witness
                 k = max(t.mem_right - t.mem_left + 1, 1)
-                assert all(apply_to_word(t, w).text != goe.text
+                assert all(t.apply(w).text != goe.text
                            for w in x.blocks(len(goe) + k - 1))
         # pre-injectivity witnesses re-verify under local application
         diamonds = 0
@@ -219,8 +221,8 @@ class TestAcceptance:
                 wa, wb = d.witness.first.word, d.witness.second.word
                 assert wa.text != wb.text
                 assert x.contains_word(wa) and x.contains_word(wb)
-                assert apply_to_word(t, wa).text == \
-                    apply_to_word(t, wb).text == d.witness.image.text
+                assert t.apply(wa).text == t.apply(wb).text \
+                    == d.witness.image.text
         assert diamonds >= 2
         # least uniform gap vs the all-pairs scan, word lengths <= 5
         exact_by_5 = {"full2": 0, "golden": 1, "even": 2, "zeros": 0,

@@ -2,13 +2,12 @@
 injectivity and pre-injectivity, image presentations, surjectivity with
 garden-of-eden witnesses, and the bundled example pairs end to end."""
 
-import functools
 import itertools
 
 import pytest
 
 from soficlab import (Alphabet, CellularAutomaton, Word,
-                      apply_to_word, pair_graph, is_pre_injective,
+                      pair_graph, is_pre_injective,
                       is_injective, is_surjective, image_presentation,
                       check_myhill, check_entropy_preservation,
                       random_ca, identity_ca, constant_ca, xor_ca,
@@ -19,7 +18,8 @@ from soficlab import (Alphabet, CellularAutomaton, Word,
                       AlphabetMismatch, NotEndomorphism, NotIntoTarget,
                       Shift, TableTooLarge, WordTooShort)
 
-from oracles import missing_preimage, origin_contains
+from oracles import (image_mismatch, missing_preimage, origin_blocks,
+                     origin_contains, periodic_point_allowed, table_image)
 
 
 def or_rule(a):
@@ -30,25 +30,25 @@ def or_rule(a):
 class TestApply:
 
     def test_xor_word(self, full2):
-        assert apply_to_word(xor_ca(), full2.word("0110")).text == "101"
-        assert apply_to_word(xor_ca(), full2.word("00")).text == "0"
+        assert xor_ca().apply(full2.word("0110")).text == "101"
+        assert xor_ca().apply(full2.word("00")).text == "0"
 
     def test_width_one_keeps_length(self, full2):
         c0 = constant_ca(full2.alphabet, "0")
-        assert apply_to_word(c0, full2.word("1011")).text == "0000"
+        assert c0.apply(full2.word("1011")).text == "0000"
 
     def test_identity(self, golden):
         i = identity_ca(golden.alphabet)
-        assert apply_to_word(i, golden.word("10010")).text == "10010"
+        assert i.apply(golden.word("10010")).text == "10010"
 
     def test_short_word_rejected(self, full2):
         with pytest.raises(WordTooShort):
-            apply_to_word(xor_ca(), full2.word("0"))
+            xor_ca().apply(full2.word("0"))
 
     def test_from_rule_table(self, full2):
         t = or_rule(full2.alphabet)
         assert t.table == ("0", "1", "1", "1")
-        assert apply_to_word(t, full2.word("0100")).text == "110"
+        assert t.apply(full2.word("0100")).text == "110"
 
 
 class TestPairGraph:
@@ -67,6 +67,14 @@ class TestPairGraph:
         assert det.n_vertices == 3 and det.is_right_resolving()
         pg = pair_graph(xor_ca(), even)
         assert pg.n_base == len(det.edges)  # width 2: one vertex per edge
+
+    def test_sft_domain_reads_the_acceptor_part(self, shifts):
+        # mixnot_5's block presentation has 618 vertices, its acceptor part
+        # 12: a one-cell rule pairs 12 * 12 vertices, not 618 * 618
+        x = shifts["mixnot_5"]
+        pg = pair_graph(bundled_ca("collapse", x), x)
+        assert pg.n_base == x.deterministic.n_vertices == 12
+        assert (pg.n_pairs, len(pg.edges)) == (144, 361)
 
     def test_deterministic_edge_order(self, golden):
         a = pair_graph(identity_ca(golden.alphabet), golden)
@@ -101,9 +109,7 @@ class TestPreInjectivity:
             assert wa.text[:k - 1] == wb.text[:k - 1]
             assert wa.text[len(wa) - (k - 1):] == wb.text[len(wb) - (k - 1):]
             assert x.contains_word(wa) and x.contains_word(wb)
-            ia = apply_to_word(t, wa) if len(wa) >= k else None
-            if ia is not None:
-                assert ia.text == apply_to_word(t, wb).text == d.witness.image.text
+            assert t.apply(wa).text == t.apply(wb).text == d.witness.image.text
 
     def test_sofic_domain_scope(self, even):
         # exact on every domain: a clean verdict is about points too
@@ -134,8 +140,8 @@ class TestInjectivity:
             w = d.witness
             assert x.contains_word(w.first) and x.contains_word(w.second)
             assert w.first.text != w.second.text
-            ia = apply_to_word(xor_ca(), w.first)
-            ib = apply_to_word(xor_ca(), w.second)
+            ia = xor_ca().apply(w.first)
+            ib = xor_ca().apply(w.second)
             assert ia.text == ib.text == w.image.text
 
     def test_xor_on_even_periodic_pair(self, even):
@@ -145,6 +151,24 @@ class TestInjectivity:
         w = d.witness
         assert (w.first.text, w.second.text) == ("110000", "001111")
         assert w.left_period == 1 and w.right_period == 2
+
+    @pytest.mark.parametrize("k", (2, 3, 4, 5))
+    @pytest.mark.parametrize("rule", ("collapse", "const0"))
+    def test_mixnot_point_pairs_verify(self, shifts, k, rule):
+        # 1^inf 0^inf and its shift by one, read from the acceptor part:
+        # both points avoid every forbidden word of the spec
+        x = shifts[f"mixnot_{k}"]
+        t = bundled_ca(rule, x)
+        d = is_injective(t, x)
+        assert d.verdict is False
+        w = d.witness
+        assert (w.first.text, w.second.text, w.image.text) \
+            == ("1000", "1100", "0000")
+        assert w.left_period == w.right_period == 1
+        a, b = w.first.ranks(), w.second.ranks()
+        assert table_image(t, a) == table_image(t, b) == w.image.ranks()
+        assert periodic_point_allowed(x.origin, a, 1, 1)
+        assert periodic_point_allowed(x.origin, b, 1, 1)
 
     def test_identity_injective(self, shifts):
         for name in ("full2", "golden", "even"):
@@ -179,17 +203,20 @@ class TestAlphabetChecked:
 class TestImagePresentation:
 
     def test_const_image_is_single_point(self, full2, zeros):
-        img = image_presentation(constant_ca(full2.alphabet, "0"), full2,
-                                 self_check_n=6)
+        t = constant_ca(full2.alphabet, "0")
+        img = image_presentation(t, full2)
+        assert image_mismatch(t, full2, img, 6) is None
         assert equal_shifts(img, zeros).verdict is True
 
     def test_identity_image_is_domain(self, golden):
-        img = image_presentation(identity_ca(golden.alphabet), golden,
-                                 self_check_n=7)
+        t = identity_ca(golden.alphabet)
+        img = image_presentation(t, golden)
+        assert image_mismatch(t, golden, img, 7) is None
         assert equal_shifts(img, golden).verdict is True
 
     def test_xor_full_image_is_full(self, full2):
-        img = image_presentation(xor_ca(), full2, self_check_n=7)
+        img = image_presentation(xor_ca(), full2)
+        assert image_mismatch(xor_ca(), full2, img, 7) is None
         assert equal_shifts(img, full2).verdict is True
 
     def test_image_counts_bounded_by_domain(self, shifts):
@@ -204,7 +231,8 @@ class TestImagePresentation:
                 assert all(ci[n] <= cx[n + 1] for n in range(1, 11))
 
     def test_xor_even_image(self, even, full2):
-        img = image_presentation(xor_ca(), even, self_check_n=8)
+        img = image_presentation(xor_ca(), even)
+        assert image_mismatch(xor_ca(), even, img, 8) is None
         assert img.contains_word(img.word("010"))
         assert equal_shifts(img, full2).verdict is False
 
@@ -212,8 +240,9 @@ class TestImagePresentation:
         # the empty domain has no 1-block; the empty image still has the
         # empty word, so the check starts at length 1
         empty = Shift.from_forbidden(Alphabet(("0", "1")), ("0", "1"))
-        img = image_presentation(xor_ca(), empty, self_check_n=4)
+        img = image_presentation(xor_ca(), empty)
         assert img.is_empty
+        assert image_mismatch(xor_ca(), empty, img, 4) is None
 
 
 class TestSurjectivity:
@@ -245,7 +274,7 @@ class TestSurjectivity:
         goe = d.witness
         n = len(goe)
         for w in full2.blocks(n + 1):
-            assert apply_to_word(t, w).text != goe.text
+            assert t.apply(w).text != goe.text
 
     def test_not_into_target_raises(self, full2, even, golden):
         with pytest.raises(NotIntoTarget):
@@ -358,26 +387,6 @@ class TestCorpus:
         assert c0_o.image_si is True
 
 
-@functools.lru_cache(maxsize=None)
-def _origin_blocks(x, n):
-    """Rank words of length ``n`` of ``x``, lexicographic, decided from
-    ``x.origin`` alone (never the acceptor)."""
-    return [w for w in itertools.product(range(len(x.alphabet)), repeat=n)
-            if origin_contains(x, w)]
-
-
-def _table_image(t, ranks):
-    """Slide the rule table across a rank word, by hand."""
-    k, na = t.width, len(t.source)
-    out = []
-    for i in range(len(ranks) - k + 1):
-        r = 0
-        for a in ranks[i:i + k]:
-            r = r * na + a
-        out.append(t.target.index(t.table[r]))
-    return tuple(out)
-
-
 class TestGardenOfEdenWord:
     """A non-surjective endomorphism reports the shortest, then
     lexicographically least, target word without a preimage."""
@@ -398,9 +407,9 @@ class TestGardenOfEdenWord:
                 checked += 1
                 goe = d.witness.ranks()
                 for n in range(1, len(goe) + 1):
-                    images = {_table_image(t, u)
-                              for u in _origin_blocks(x, n + t.width - 1)}
-                    orphans = [w for w in _origin_blocks(x, n)
+                    images = {table_image(t, u)
+                              for u in origin_blocks(x, n + t.width - 1)}
+                    orphans = [w for w in origin_blocks(x, n)
                                if w not in images]
                     if n < len(goe):
                         assert orphans == [], (memory, seed)
@@ -418,8 +427,8 @@ def _common_context(x, t, wit, m_max=10):
     for left, right in itertools.product(range(len(x.alphabet)), repeat=2):
         if all(origin_contains(x, (left,) * m + w + (right,) * m)
                for m in range(m_max + 1) for w in (wa, wb)) and all(
-                _table_image(t, (left,) * m + wa + (right,) * m)
-                == _table_image(t, (left,) * m + wb + (right,) * m)
+                table_image(t, (left,) * m + wa + (right,) * m)
+                == table_image(t, (left,) * m + wb + (right,) * m)
                 for m in range(m_max + 1)):
             return x.alphabet.symbols[left], x.alphabet.symbols[right]
     return None
@@ -444,8 +453,8 @@ class TestExactPreInjectivity:
             ea = (1,) * m + a.ranks() + (0,) * m
             eb = (1,) * m + b.ranks() + (0,) * m
             assert origin_contains(even, ea) and origin_contains(even, eb)
-            assert _table_image(t, ea) == _table_image(t, eb)
-        assert _table_image(t, a.ranks()) == _table_image(t, b.ranks()) \
+            assert table_image(t, ea) == table_image(t, eb)
+        assert table_image(t, a.ranks()) == table_image(t, b.ranks()) \
             == d.witness.image.ranks()
 
     def test_width3_refutations_on_even(self, even):
@@ -461,7 +470,7 @@ class TestExactPreInjectivity:
             wa, wb = d.witness.first.word, d.witness.second.word
             assert wa != wb and len(wa) == len(wb)
             assert wa.text[:2] == wb.text[:2] and wa.text[-2:] == wb.text[-2:]
-            assert _table_image(t, wa.ranks()) == d.witness.image.ranks()
+            assert table_image(t, wa.ranks()) == d.witness.image.ranks()
             assert _common_context(even, t, d.witness) is not None, table
         assert refuted == 140
 

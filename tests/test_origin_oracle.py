@@ -19,13 +19,15 @@ from soficlab.cli import main
 from soficlab.dfa import (_STATE_CAP, FactorialDfa, backward_subsets,
                           determinize, minimize, word_counts)
 from soficlab.errors import CapExceeded, StateBlowup
-from soficlab.graph import (directed_diameter, essentialize, follower_reduce,
+from soficlab.graph import (core_vertices, directed_diameter, essentialize,
+                            follower_reduce, infinite_path_starts,
                             refine_classes)
 from soficlab.props import _Joinability
 from soficlab.shift import SftSpec, sft_to_graph
 
-from oracles import (backward_family, common_extension, diameter_by_bfs,
-                     first_missed, nerode_classes, origin_contains,
+from oracles import (backward_family, common_extension,
+                     core_by_two_sided_peel, diameter_by_bfs, first_missed,
+                     nerode_classes, origin_contains, reach_core_by_closure,
                      sft_graph_by_suffix_scan)
 
 _ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
@@ -370,10 +372,39 @@ def partial_tables(draw):
     return [draw(st.one_of(st.just((-1,) * k), row)) for _ in range(n)]
 
 
+@st.composite
+def multigraph_edges(draw):
+    """``(n, edges)``: 0..9 vertices and up to 3n flagged edges, parallel
+    edges and loops allowed; vertices without out-edges (sinks) and without
+    in-edges come up often."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return 0, []
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.booleans())
+    edges = draw(st.lists(edge, max_size=3 * n))
+    if edges and draw(st.booleans()):
+        edges += draw(st.lists(st.sampled_from(edges), max_size=n))
+    return n, edges
+
+
 class TestCanonicalizationKernels:
     """The block presentation against a forbidden-word suffix scan, Moore
-    refinement against Myhill-Nerode table filling, and the peel that has
-    nothing to remove."""
+    refinement against Myhill-Nerode table filling, and the one-sided peel
+    against a two-sided degree peel closed backwards."""
+
+    @given(multigraph_edges())
+    @settings(max_examples=300, deadline=None)
+    @example((3, [(0, 1, False), (0, 1, False), (1, 1, True), (2, 0, False)]))
+    def test_peel(self, graph):
+        n, edges = graph
+        assert core_vertices(n, edges) == core_by_two_sided_peel(n, edges)
+        same = [e for e in edges if not e[2]]
+        assert infinite_path_starts(n, same, 0, 1) \
+            == reach_core_by_closure(n, same)
+        reversed_edges = [(d, s, f) for s, d, f in edges]
+        assert infinite_path_starts(n, edges, 1, 0) \
+            == reach_core_by_closure(n, reversed_edges)
 
     @given(sft_specs(), st.one_of(st.none(), st.integers(0, 40)))
     @settings(max_examples=150, deadline=None)
