@@ -9,14 +9,18 @@ questions in the product of that graph with itself, restricted to edge
 pairs producing the same output.  The image recodes the essential
 presentation; the pair graph recodes the past-determined one,
 :attr:`Shift.deterministic`, on every domain, which makes pre-injectivity
-exact.
+exact.  Whether the image lies in a target is read off the relabelled
+recoding itself, against the target's acceptor (:func:`image_included`),
+so the image shift, with its subset construction and minimization, is
+built only for a question that needs it: surjectivity, entropy, image
+invariants.  A rule that leaves its domain never builds one.
 
-Each (rule, domain) pair is analysed once: the pair graph, image and
-injectivity verdicts are cached on the rule under (name, domain), the
-image's inclusion in a target under (name, domain, target), shifts hashing
-by identity, and each recoding under the presentation it reads, graphs
-hashing by value (:meth:`Memo.derived`).  They are shared by every later
-call, must not be mutated, and are freed with the rule.
+Each (rule, domain) pair is analysed once: the pair graph, image graph,
+image and injectivity verdicts are cached on the rule under (name,
+domain), the image's inclusion in a target under (name, domain, target),
+shifts hashing by identity, and each recoding under the presentation it
+reads, graphs hashing by value (:meth:`Memo.derived`).  They are shared
+by every later call, must not be mutated, and are freed with the rule.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from dataclasses import dataclass
 
 from .base import (_TABLE_CAP, Alphabet, CellularAutomaton, ConfigurationWindow,
                    Decision, Word)
+from .dfa import graph_missing
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import (AlphabetMismatch, NotEndomorphism, NotIntoTarget,
                      TableTooLarge)
 from .graph import (LabeledGraph, core_vertices, infinite_path_starts,
                     path_graph)
 from .props import is_strongly_irreducible
-from .shift import Shift, equal_shifts, language_included
+from .shift import Shift, equal_shifts
 
 
 def _per_domain(fn):
@@ -299,20 +304,44 @@ def _periodic_pair(pgr: PairGraph, alive_edges, e,
 
 
 @_per_domain
-def image_presentation(t: CellularAutomaton, x: Shift) -> Shift:
-    """The image shift: relabel each k-block edge of the recoded essential
-    presentation of ``x`` by its output symbol."""
+def _image_graph(t: CellularAutomaton, x: Shift) -> LabeledGraph:
+    """The recoded essential presentation of ``x`` with each k-block edge
+    relabelled by its output symbol: an essential graph of the image."""
     _check_source(t, x)
     pg, _, img = _recode(t, x.essential)
-    return Shift.from_graph(LabeledGraph(t.target, pg.n_vertices, tuple(
-        (s, d, img[a]) for s, d, a in pg.edges)))
+    return LabeledGraph(t.target, pg.n_vertices, tuple(
+        (s, d, img[a]) for s, d, a in pg.edges))
+
+
+@_per_domain
+def image_presentation(t: CellularAutomaton, x: Shift) -> Shift:
+    """The image shift, presented by :func:`_image_graph`."""
+    return Shift.from_graph(_image_graph(t, x))
 
 
 def image_included(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
-    """:func:`language_included` of the image of ``x`` in ``y``; memoised
-    on the rule, so each (rule, domain, target) runs one product search."""
-    return t.derived(("included", x, y), lambda t: language_included(
-        image_presentation(t, x), y))
+    """Is every block of the image of ``x`` a block of ``y``?  On failure
+    the witness is the shortest, then lexicographically least, image word
+    missing from ``y``: the word :func:`language_included` would report
+    for :func:`image_presentation`.
+
+    Decided on :func:`_image_graph` read from every vertex against
+    ``y.acceptor`` (:func:`graph_missing`), so no image shift is built:
+    a rule that leaves its domain never needs one, and a kept rule builds
+    it once, for the question that reads it.  Memoised on the rule, so
+    each (rule, domain, target) is searched once."""
+    def decide(t: CellularAutomaton) -> Decision:
+        g = _image_graph(t, x)  # refuses a rule over another alphabet
+        if t.target != y.alphabet:
+            raise AlphabetMismatch(
+                f"cannot compare shifts over {t.target.compact} "
+                f"and {y.alphabet.compact}")
+        missing = graph_missing(g, y.acceptor)
+        if missing is None:
+            return Decision(True, None, "language")
+        return Decision(False, t.target.word_from_ranks(missing), "language",
+                        note="an image word the target lacks")
+    return t.derived(("included", x, y), decide)
 
 
 def is_surjective(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
@@ -320,19 +349,21 @@ def is_surjective(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
     equality of their languages decides equality of the point sets.  A
     false verdict carries the shortest (then lexicographically least)
     target word no point of the image contains: with the image inside the
-    target, that is the word the language comparison reports."""
-    img = image_presentation(t, x)
-    if img.is_empty or y.is_empty:
-        if img.is_empty and y.is_empty:
+    target, that is the word the language comparison reports.  The image
+    shift is built only once the image is known to lie in the target."""
+    _check_source(t, x)
+    if x.is_empty or y.is_empty:
+        # the image is empty exactly when the domain is
+        if x.is_empty and y.is_empty:
             return Decision(True, None, "point", note="both empty")
-        if img.is_empty:
+        if x.is_empty:
             return Decision(False, None, "point", note="empty image")
         raise NotIntoTarget("nonempty image into the empty shift")
     inc = image_included(t, x, y)
     if not inc.verdict:
         raise NotIntoTarget(
             f"the image is not inside the target: witness {inc.witness.text!r}")
-    eq = equal_shifts(img, y)
+    eq = equal_shifts(image_presentation(t, x), y)
     if eq.verdict:
         return Decision(True, None, "point")
     return Decision(False, eq.witness, "point", note="Garden of Eden word")

@@ -76,6 +76,15 @@ class FactorialDfa:
         return f"FactorialDfa({self.n_states} states over {self.alphabet.compact})"
 
 
+def _successors(g: LabeledGraph) -> list[list[list[int]]]:
+    """``post[v][a]``: the targets of the edges out of v labelled a."""
+    post: list[list[list[int]]] = [[[] for _ in g.alphabet.symbols]
+                                   for _ in range(g.n_vertices)]
+    for s, d, a in g.edges:
+        post[s][a].append(d)
+    return post
+
+
 def determinize(g: LabeledGraph, cap: int = _STATE_CAP) -> FactorialDfa:
     """Subset construction from the set of all vertices of ``g``.
 
@@ -86,9 +95,7 @@ def determinize(g: LabeledGraph, cap: int = _STATE_CAP) -> FactorialDfa:
     na = len(g.alphabet)
     if g.n_vertices == 0:
         return FactorialDfa(g.alphabet, ((-1,) * na,))
-    post: list[list[list[int]]] = [[[] for _ in range(na)] for _ in range(g.n_vertices)]
-    for s, d, a in g.edges:
-        post[s][a].append(d)
+    post = _successors(g)
     start = frozenset(range(g.n_vertices))
     ids: dict[frozenset, int] = {start: 0}
     order = [start]
@@ -240,27 +247,82 @@ def shortest_difference(d1: FactorialDfa,
 
 def shortest_missing(d1: FactorialDfa,
                      d2: FactorialDfa) -> tuple[int, ...] | None:
-    """Shortest word in L(d1) but not in L(d2), or None if L(d1) ⊆ L(d2).
+    """Shortest word in L(d1) but not in L(d2), or None if L(d1) ⊆ L(d2);
+    ties break toward the lexicographically least word."""
+    return _least_missing(0, d1.trans.__getitem__, d2)
 
-    Breadth-first over the product automaton in symbol-rank order, so ties
-    break toward the lexicographically least word."""
-    na = len(d1.alphabet)
-    start = (0, 0)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], tuple[int, ...]]] = deque([(start, ())])
+
+def graph_missing(g: LabeledGraph,
+                  d: FactorialDfa) -> tuple[int, ...] | None:
+    """The (length, lex)-least label word of a path of ``g`` that ``d``
+    does not read, or None when ``d`` reads them all.
+
+    Paths start at any vertex, so for an essential ``g`` these words are
+    the language of the shift ``g`` presents, and the answer is the word
+    :func:`shortest_missing` gives for that shift's acceptor, with no
+    acceptor built.  The verdict comes first (:func:`_graph_read`).  Only
+    a failure pays for the witness, a breadth-first search over (vertex
+    set, state) pairs from (all vertices, 0): the subset construction of
+    ``g``, run only as far as that word."""
+    if _graph_read(g, d):
+        return None
+    post = _successors(g)
+    symbols = range(len(g.alphabet))
+
+    def moves(vs: frozenset) -> list:
+        # an empty set of successors is a move g cannot make
+        return [frozenset(u for v in vs for u in post[v][a]) or -1
+                for a in symbols]
+    return _least_missing(frozenset(range(g.n_vertices)), moves, d)
+
+
+def _graph_read(g: LabeledGraph, d: FactorialDfa) -> bool:
+    """Does ``d`` read the label of every path of ``g``?  A search over
+    (vertex, state) pairs from every (v, 0), O(V·Q·|A|), that stops at
+    the first move ``d`` cannot make."""
+    trans, nq = d.trans, d.n_states
+    out = g.out_map()
+    seen = bytearray(g.n_vertices * nq)
+    stack = list(range(0, g.n_vertices * nq, nq))
+    for p in stack:
+        seen[p] = 1
+    while stack:
+        v, q = divmod(stack.pop(), nq)
+        row = trans[q]
+        for u, a in out[v]:
+            r = row[a]
+            if r == -1:
+                return False
+            p = u * nq + r
+            if not seen[p]:
+                seen[p] = 1
+                stack.append(p)
+    return True
+
+
+def _least_missing(start, moves, d: FactorialDfa) -> tuple[int, ...] | None:
+    """The (length, lex)-least word read from ``start`` and not by ``d``,
+    or None.  ``moves(s)`` is the row of the state s: per symbol rank the
+    successor state, or -1 when s cannot read the symbol.
+
+    Breadth first over (state, ``d``-state) pairs in symbol-rank order,
+    from (start, 0): each pair is first reached by its least word, so the
+    first move ``d`` cannot make ends the least missing word."""
+    trans = d.trans
+    seen = {(start, 0)}
+    queue: deque[tuple[object, int, tuple[int, ...]]] = deque([(start, 0, ())])
     while queue:
-        (q1, q2), w = queue.popleft()
-        for a in range(na):
-            t1 = d1.trans[q1][a]
-            if t1 == -1:
+        s, q, w = queue.popleft()
+        row = trans[q]
+        for a, t in enumerate(moves(s)):
+            if t == -1:
                 continue
-            t2 = d2.trans[q2][a]
-            nw = w + (a,)
-            if t2 == -1:
-                return nw
-            if (t1, t2) not in seen:
-                seen.add((t1, t2))
-                queue.append(((t1, t2), nw))
+            r = row[a]
+            if r == -1:
+                return w + (a,)
+            if (t, r) not in seen:
+                seen.add((t, r))
+                queue.append((t, r, w + (a,)))
     return None
 
 

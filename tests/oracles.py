@@ -49,37 +49,68 @@ def periodic_point_allowed(spec, w, left_period, right_period):
 
 
 def _sft_contains(spec, w):
-    """No forbidden factor, and a forbidden-free extension by ``n`` symbols
-    on both sides.  ``n`` exceeds the number of (m-1)-blocks by m, so each
-    side of such an extension repeats an (m-1)-block away from ``w``, and
-    repeating the stretch between the two copies extends it forever."""
-    bad = {f.ranks() for f in spec.forbidden}
-    m = spec.window
-    keep = m - 1
-    syms = range(len(spec.alphabet))
+    """No forbidden factor, and a forbidden-free infinite extension on each
+    side.  Once ``w`` holds m - 1 symbols (m = window), the two sides
+    extend independently: a factor that reaches from one extension across
+    ``w`` into the other has more than m symbols, so it is longer than
+    every forbidden word.  Each side then depends only on the m - 1 end
+    symbols of ``w`` (:func:`_endless`).  A shorter word is a block iff
+    one of its forbidden-free right extensions to m - 1 symbols is."""
+    bad, keep, right, left = _sft_steps(spec)
     if any(w[i:j] in bad for j in range(len(w) + 1) for i in range(j)):
         return False
-    n = len(syms) ** keep + m
-    # what a further extension may read: the first and last keep symbols
-    ends = {(w[:keep], w[max(len(w) - keep, 0):])}
-    for _ in range(n):
-        nxt = set()
-        for pre, suf in ends:
-            for a in syms:
-                head, tail = (a,) + pre, (a,) + suf
-                if not any(head[:j] in bad for j in range(1, len(head) + 1)):
-                    nxt.add((head[:keep], tail[max(len(tail) - keep, 0):]))
-        ends = nxt
-    tails = {suf for _, suf in ends}
-    for _ in range(n):
-        nxt = set()
-        for suf in tails:
-            for a in syms:
-                t = suf + (a,)
-                if not any(t[len(t) - j:] in bad for j in range(1, len(t) + 1)):
-                    nxt.add(t[max(len(t) - keep, 0):])
-        tails = nxt
-    return bool(tails)
+    if len(w) < keep:
+        return any(_sft_contains(spec, w + (a,))
+                   for a in range(len(spec.alphabet)))
+    return (_endless(left, w[:keep])
+            and _endless(right, w[len(w) - keep:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _sft_steps(spec):
+    """The forbidden rank words of ``spec``, the length m - 1 of the blocks
+    an extension depends on, and the one-symbol steps of such a block to
+    the right and to the left: the blocks b[1:] + a (a + b[:-1]) for the
+    symbols a that put no forbidden word at the end (start) of b + a
+    (a + b).  Steps are memoised per block."""
+    bad = frozenset(f.ranks() for f in spec.forbidden)
+    keep = spec.window - 1
+    syms = range(len(spec.alphabet))
+
+    @functools.lru_cache(maxsize=None)
+    def right(b):
+        return tuple(u[1:] for u in (b + (a,) for a in syms)
+                     if not any(u[len(u) - j:] in bad
+                                for j in range(1, len(u) + 1)))
+
+    @functools.lru_cache(maxsize=None)
+    def left(b):
+        return tuple(u[:keep] for u in ((a,) + b for a in syms)
+                     if not any(u[:j] in bad for j in range(1, len(u) + 1)))
+
+    return bad, keep, right, left
+
+
+@functools.lru_cache(maxsize=None)
+def _endless(step, block):
+    """Does ``block`` start an infinite walk under ``step``?  Follows the
+    set of blocks reached in exactly i steps.  It answers no when the set
+    empties, and yes when the set repeats an earlier one (it then cycles
+    forever) or when i reaches the number of distinct blocks seen so far:
+    a walk of i steps visits i + 1 blocks, so one of them repeats and
+    closes a cycle.  That count is at most the number of forbidden-free
+    (m - 1)-blocks, which bounds the search."""
+    frontier = frozenset((block,))
+    frontiers, blocks = {frontier}, set(frontier)
+    i = 0
+    while frontier:
+        frontier = frozenset(c for b in frontier for c in step(b))
+        i += 1
+        blocks |= frontier
+        if frontier in frontiers or i >= len(blocks):
+            return bool(frontier)
+        frontiers.add(frontier)
+    return False
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,22 +339,28 @@ def gap_failure_pair(x, max_word_len, probe=None):
 
 
 def missing_preimage(t, x, y, max_len):
-    """First nonempty target word (BFS order) with no domain preimage,
-    else None.
-
-    Checks every word of y's language of length 1..max_len against all
-    candidate domain words of the stretched length.
-    """
-    width = t.width
+    """First target word, in (length, lex) order over lengths
+    1..max_len, that is not the table image of any block of ``x``; None
+    when there is none.  Both shifts are read from their origins."""
     for n in range(1, max_len + 1):
-        for w in sorted(y.blocks(n), key=lambda b: b.ranks()):
-            found = False
-            for u in x.blocks(n + width - 1):
-                if t.apply(u).ranks() == w.ranks():
-                    found = True
-                    break
-            if not found:
-                return w
+        images = {table_image(t, u)
+                  for u in origin_blocks(x, n + t.width - 1)}
+        for w in origin_blocks(y, n):
+            if w not in images:
+                return y.alphabet.word_from_ranks(w)
+    return None
+
+
+def image_word_outside(t, x, y, max_len):
+    """First table image of a block of ``x``, in (length, lex) order over
+    lengths 1..max_len, that is not a block of ``y``; None when there is
+    none.  Both shifts are read from their origins."""
+    for n in range(1, max_len + 1):
+        images = sorted({table_image(t, u)
+                         for u in origin_blocks(x, n + t.width - 1)})
+        missing = [v for v in images if not origin_contains(y, v)]
+        if missing:
+            return missing[0]
     return None
 
 

@@ -23,7 +23,8 @@ from soficlab import (CellularAutomaton, Shift,
 import soficlab.bundled as bundled
 
 from oracles import (image_mismatch, minimal_gap_bruteforce,
-                     missing_preimage, words_up_to)
+                     missing_preimage, origin_blocks, table_image,
+                     words_up_to)
 
 LN2 = math.log(2.0)
 LN_PHI = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -208,10 +209,9 @@ class TestAcceptance:
             oracle = missing_preimage(t, x, y, 8)
             assert (d.verdict is True) == (oracle is None)
             if d.verdict is False:
-                goe = d.witness
-                k = max(t.mem_right - t.mem_left + 1, 1)
-                assert all(t.apply(w).text != goe.text
-                           for w in x.blocks(len(goe) + k - 1))
+                goe = d.witness.ranks()
+                assert all(table_image(t, u) != goe
+                           for u in origin_blocks(x, len(goe) + t.width - 1))
         # pre-injectivity witnesses re-verify under local application
         diamonds = 0
         for t, x, _ in pairs:

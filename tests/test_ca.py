@@ -5,6 +5,8 @@ garden-of-eden witnesses, and the bundled example pairs end to end."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab import (Alphabet, CellularAutomaton, Word,
                       pair_graph, is_pre_injective,
@@ -13,13 +15,15 @@ from soficlab import (Alphabet, CellularAutomaton, Word,
                       random_ca, identity_ca, constant_ca, xor_ca,
                       search_moore_counterexample,
                       run_corpus, run_bundled_examples,
-                      bundled_ca,
+                      bundled_ca, bundled_names,
                       equal_shifts, language_included, block_counts,
                       AlphabetMismatch, NotEndomorphism, NotIntoTarget,
                       Shift, TableTooLarge, WordTooShort)
+from soficlab.ca import image_included
 
-from oracles import (image_mismatch, missing_preimage, origin_blocks,
-                     origin_contains, periodic_point_allowed, table_image)
+from oracles import (image_mismatch, image_word_outside, missing_preimage,
+                     origin_blocks, origin_contains, periodic_point_allowed,
+                     table_image)
 
 
 def or_rule(a):
@@ -199,6 +203,25 @@ class TestAlphabetChecked:
                            match="the rule reads a different alphabet"):
             decide(rule, empty)
 
+    @pytest.mark.parametrize("empty_domain", [True, False])
+    def test_image_included_refuses_other_source(self, full2, empty_domain):
+        x = (Shift.from_forbidden(full2.alphabet, ("0", "1"))
+             if empty_domain else full2)
+        rule = identity_ca(Alphabet(("a", "b", "c")))
+        with pytest.raises(AlphabetMismatch,
+                           match="the rule reads a different alphabet"):
+            image_included(rule, x, x)
+
+    @pytest.mark.parametrize("empty_domain", [True, False])
+    def test_image_included_refuses_other_target(self, full2, empty_domain):
+        # the rule writes a b c, the target reads 0 1
+        x = (Shift.from_forbidden(full2.alphabet, ("0", "1"))
+             if empty_domain else full2)
+        rule = random_ca(full2.alphabet, Alphabet(("a", "b", "c")), (0, 1), 3)
+        with pytest.raises(AlphabetMismatch,
+                           match=r"cannot compare shifts over \{a,b,c\}"):
+            image_included(rule, x, full2)
+
 
 class TestImagePresentation:
 
@@ -267,14 +290,15 @@ class TestSurjectivity:
         assert oracle.text == "1"
 
     def test_goe_witness_has_no_preimage(self, full2):
-        # re-verify the witness independently: scan all candidate domain
-        # words of the matching length
+        # re-verify the witness independently: slide the table over every
+        # domain word of the matching length, read from the origin
         t = or_rule(full2.alphabet)
         d = is_surjective(t, full2, full2)
-        goe = d.witness
-        n = len(goe)
-        for w in full2.blocks(n + 1):
-            assert t.apply(w).text != goe.text
+        goe = d.witness.ranks()
+        domain_words = origin_blocks(full2, len(goe) + 1)
+        assert len(domain_words) == 2 ** (len(goe) + 1)
+        for u in domain_words:
+            assert table_image(t, u) != goe
 
     def test_not_into_target_raises(self, full2, even, golden):
         with pytest.raises(NotIntoTarget):
@@ -416,6 +440,38 @@ class TestGardenOfEdenWord:
                     else:
                         assert orphans[0] == goe, (memory, seed)
         assert checked >= 50
+
+
+_FULL3 = Shift.from_forbidden(Alphabet(("0", "1", "2")), ())
+# every bundled shift and the full shift on three letters into itself, and
+# the full 2-shift into four of its subshifts
+_INCLUSIONS = ([(name, name) for name in bundled_names()[0] + ("full3",)]
+               + [("full2", y) for y in ("even", "golden", "twopoint", "zeros")])
+
+
+class TestImageIncluded:
+    """The endomorphism filter reads the recoded presentation, never an
+    image shift, and must answer as the image's acceptor does."""
+
+    @given(st.sampled_from(_INCLUSIONS), st.integers(1, 4),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_acceptor_route(self, shifts, names, width,
+                                            seed):
+        x, y = (_FULL3 if name == "full3" else shifts[name] for name in names)
+        t = random_ca(x.alphabet, y.alphabet, (0, width - 1), seed)
+        d = image_included(t, x, y)
+        ref = language_included(image_presentation(t, x), y)
+        assert (d.verdict, d.witness) == (ref.verdict, ref.witness)
+        if not d.verdict:
+            # a word of the image, missing from y, and the least such
+            w = d.witness.ranks()
+            assert image_word_outside(t, x, y, len(w)) == w
+
+    def test_empty_domain_is_included(self, zeros):
+        empty = Shift.from_forbidden(zeros.alphabet, ("0", "1"))
+        d = image_included(xor_ca(), empty, zeros)
+        assert d.verdict is True and d.witness is None
 
 
 def _common_context(x, t, wit, m_max=10):
@@ -581,17 +637,43 @@ class TestComputedOncePerRule:
         # domain; the rule answers the second from the first
         import soficlab.ca as ca
 
-        calls = self._count(monkeypatch, ca, ("language_included",))
+        calls = self._count(monkeypatch, ca, ("graph_missing",))
         rep = check_myhill(xor_ca(), full2)
         assert rep.surjective.verdict is True
-        assert calls == {"language_included": 1}
+        assert calls == {"graph_missing": 1}
+
+    def test_not_into_target_builds_no_image(self, monkeypatch, even):
+        import soficlab.ca as ca
+
+        calls = self._count(monkeypatch, ca, ("image_presentation",))
+        with pytest.raises(NotIntoTarget, match="witness '010'"):
+            is_surjective(xor_ca(), even, even)
+        assert calls == {"image_presentation": 0}
 
     def test_corpus_instance_product_searches(self, monkeypatch, full2):
-        # one search for the image inside the domain, then the two sides
-        # of the equality check in is_surjective
+        # the image inside the domain is decided on the recoding; only the
+        # two sides of the equality check in is_surjective compare
+        # acceptors
         import soficlab.dfa as dfa
 
         calls = self._count(monkeypatch, dfa, ("shortest_missing",))
         rep = run_corpus(full2, 1, 42, (0, 2))
         assert len(rep.instances) == 1
-        assert calls == {"shortest_missing": 3}
+        assert calls == {"shortest_missing": 2}
+
+    def test_rejected_rule_builds_no_image(self, monkeypatch, even):
+        # seed 2 at memory 0..2 leaves the even shift (it writes 010): no
+        # subset construction, no image shift, no acceptor comparison
+        import soficlab.ca as ca
+        import soficlab.corpus as corpus
+        import soficlab.dfa as dfa
+
+        calls = self._count(monkeypatch, dfa,
+                            ("determinize", "shortest_missing"))
+        calls = self._count(monkeypatch, ca, ("image_presentation",), calls)
+        monkeypatch.setattr(corpus, "image_presentation",
+                            ca.image_presentation)
+        rep = run_corpus(even, 1, 2, (0, 2))
+        assert rep.skipped == 1 and rep.instances == ()
+        assert calls == {"determinize": 0, "shortest_missing": 0,
+                         "image_presentation": 0}

@@ -7,6 +7,7 @@ refinement, the peel that removes nothing) against a suffix scan and table
 filling."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from soficlab.graph import (core_vertices, directed_diameter, essentialize,
 from soficlab.props import _Joinability
 from soficlab.shift import SftSpec, sft_to_graph
 
-from oracles import (backward_family, common_extension,
+from oracles import (_sft_steps, backward_family, common_extension,
                      core_by_two_sided_peel, diameter_by_bfs, first_missed,
                      nerode_classes, origin_contains, reach_core_by_closure,
                      sft_graph_by_suffix_scan)
@@ -154,6 +155,20 @@ class TestOriginOracle:
         assert not origin_contains(y, (0,))
         assert not origin_contains(y, (1,))
         assert y.is_empty
+
+    def test_sft_oracle_on_long_windows(self, shifts):
+        # mixnot_5 forbids words of up to 12 symbols; the two sides of a
+        # word extend separately, over its 618 forbidden-free 11-blocks
+        _sft_steps.cache_clear()
+        start = time.perf_counter()
+        assert origin_contains(shifts["mixnot_5"], (1, 0, 0, 0))
+        assert time.perf_counter() - start < 1.0
+        for k in (2, 3, 4, 5):
+            x = shifts[f"mixnot_{k}"]
+            for n in range(1, 9):
+                for w in itertools.product((0, 1), repeat=n):
+                    member = x.contains_word(x.alphabet.word_from_ranks(w))
+                    assert origin_contains(x, w) == member, (k, w)
 
 
 def _joins(x, u, vs, max_fill):
