@@ -9,11 +9,12 @@ questions in the product of that graph with itself, restricted to edge
 pairs producing the same output.  The image recodes the essential
 presentation; the pair graph recodes the past-determined one,
 :attr:`Shift.deterministic`, on every domain, which makes pre-injectivity
-exact.  Whether the image lies in a target is read off the relabelled
-recoding itself, against the target's acceptor (:func:`image_included`),
-so the image shift, with its subset construction and minimization, is
-built only for a question that needs it: surjectivity, entropy, image
-invariants.  A rule that leaves its domain never builds one.
+exact.  Whether the image lies in a target is decided on the domain's
+essential presentation, tracking the last k-1 labels read, against the
+target's acceptor (:func:`maps_into`): the verdict builds no recoding and
+no image shift.  The image is built only for a question that needs it:
+surjectivity, entropy, image invariants; its graph also for the witness
+of a failed inclusion.
 
 Each (rule, domain) pair is analysed once: the pair graph, image graph,
 image and injectivity verdicts are cached on the rule under (name,
@@ -319,26 +320,64 @@ def image_presentation(t: CellularAutomaton, x: Shift) -> Shift:
     return Shift.from_graph(_image_graph(t, x))
 
 
+def maps_into(t: CellularAutomaton, x: Shift, y: Shift) -> bool:
+    """Does ``t`` map every point of ``x`` into ``y``?  Memoised on the
+    rule, so each (rule, domain, target) is searched once.
+
+    Depth first over triples (v, w, q): a vertex v of ``x.essential``, the
+    rank w of the last k-1 labels read (k the rule width) and a state q of
+    ``y.acceptor``, from every (v, w) that ends a path of k-1 edges, with
+    q = 0.  The outputs read from a vertex of the recoding depend only on
+    its last vertex and its label window, so these are the words
+    :func:`_image_graph` reads, with no recoding built.  The first move
+    ``y`` cannot make answers no."""
+    def decide(t: CellularAutomaton) -> bool:
+        _check_source(t, x)
+        if t.target != y.alphabet:
+            raise AlphabetMismatch(
+                f"cannot compare shifts over {t.target.compact} "
+                f"and {y.alphabet.compact}")
+        na = len(t.source)
+        m = na ** (t.width - 1)
+        out = _output_ranks(t)
+        trans = y.acceptor.trans
+        adj = x.essential.out_map()
+        ends = {(v, 0) for v in range(len(adj))}
+        for _ in range(t.width - 1):
+            ends = {(u, w * na + a) for v, w in ends for u, a in adj[v]}
+        stack = [(v, w, 0) for v, w in ends]
+        seen = set(stack)
+        while stack:
+            v, w, q = stack.pop()
+            row = trans[q]
+            for u, a in adj[v]:
+                b = w * na + a
+                r = row[out[b]]
+                if r == -1:
+                    return False
+                s = (u, b % m, r)
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return True
+    return t.derived(("inside", x, y), decide)
+
+
 def image_included(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
     """Is every block of the image of ``x`` a block of ``y``?  On failure
     the witness is the shortest, then lexicographically least, image word
     missing from ``y``: the word :func:`language_included` would report
     for :func:`image_presentation`.
 
-    Decided on :func:`_image_graph` read from every vertex against
-    ``y.acceptor`` (:func:`graph_missing`), so no image shift is built:
-    a rule that leaves its domain never needs one, and a kept rule builds
-    it once, for the question that reads it.  Memoised on the rule, so
-    each (rule, domain, target) is searched once."""
+    The verdict is :func:`maps_into`'s, so no image shift is built: a rule
+    that leaves its domain never needs one, and a kept rule builds it once,
+    for the question that reads it.  Only a failure recodes the domain, for
+    the witness (:func:`graph_missing` on :func:`_image_graph`).  Memoised
+    on the rule, so each (rule, domain, target) is decided once."""
     def decide(t: CellularAutomaton) -> Decision:
-        g = _image_graph(t, x)  # refuses a rule over another alphabet
-        if t.target != y.alphabet:
-            raise AlphabetMismatch(
-                f"cannot compare shifts over {t.target.compact} "
-                f"and {y.alphabet.compact}")
-        missing = graph_missing(g, y.acceptor)
-        if missing is None:
+        if maps_into(t, x, y):
             return Decision(True, None, "language")
+        missing = graph_missing(_image_graph(t, x), y.acceptor)
         return Decision(False, t.target.word_from_ranks(missing), "language",
                         note="an image word the target lacks")
     return t.derived(("included", x, y), decide)
@@ -476,7 +515,7 @@ def search_moore_counterexample(x: Shift, memory_bound: int = 3,
         for table in tables:
             spent += 1
             t = CellularAutomaton(a, a, 0, width - 1, tuple(table))
-            if not image_included(t, x, x).verdict:
+            if not maps_into(t, x, x):
                 continue
             if not is_surjective(t, x, x).verdict:
                 continue

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ca import (image_included, image_presentation, is_injective,
-                 is_pre_injective, is_surjective, random_ca)
+from .ca import (image_presentation, is_injective, is_pre_injective,
+                 is_surjective, maps_into, random_ca)
 from .dfa import word_counts
 from .entropy import entropy_spectral
 from .props import is_strongly_irreducible
@@ -63,7 +63,7 @@ def _run_instance(x: Shift, seed: int, memory: tuple[int, int],
                   check_image_si: bool) -> CorpusInstance | None:
     """Classify one seed; None when the table is not an endomorphism."""
     t = random_ca(x.alphabet, x.alphabet, memory, seed)
-    if not image_included(t, x, x).verdict:
+    if not maps_into(t, x, x):
         return None
     img = image_presentation(t, x)
     pre = is_pre_injective(t, x)

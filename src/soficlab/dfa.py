@@ -260,12 +260,10 @@ def graph_missing(g: LabeledGraph,
     Paths start at any vertex, so for an essential ``g`` these words are
     the language of the shift ``g`` presents, and the answer is the word
     :func:`shortest_missing` gives for that shift's acceptor, with no
-    acceptor built.  The verdict comes first (:func:`_graph_read`).  Only
-    a failure pays for the witness, a breadth-first search over (vertex
-    set, state) pairs from (all vertices, 0): the subset construction of
-    ``g``, run only as far as that word."""
-    if _graph_read(g, d):
-        return None
+    acceptor built: a breadth-first search over (vertex set, state) pairs
+    from (all vertices, 0), the subset construction of ``g`` run only as
+    far as that word.  It runs only for a witness: a verdict alone needs
+    no subsets (``ca.maps_into``)."""
     post = _successors(g)
     symbols = range(len(g.alphabet))
 
@@ -274,30 +272,6 @@ def graph_missing(g: LabeledGraph,
         return [frozenset(u for v in vs for u in post[v][a]) or -1
                 for a in symbols]
     return _least_missing(frozenset(range(g.n_vertices)), moves, d)
-
-
-def _graph_read(g: LabeledGraph, d: FactorialDfa) -> bool:
-    """Does ``d`` read the label of every path of ``g``?  A search over
-    (vertex, state) pairs from every (v, 0), O(V·Q·|A|), that stops at
-    the first move ``d`` cannot make."""
-    trans, nq = d.trans, d.n_states
-    out = g.out_map()
-    seen = bytearray(g.n_vertices * nq)
-    stack = list(range(0, g.n_vertices * nq, nq))
-    for p in stack:
-        seen[p] = 1
-    while stack:
-        v, q = divmod(stack.pop(), nq)
-        row = trans[q]
-        for u, a in out[v]:
-            r = row[a]
-            if r == -1:
-                return False
-            p = u * nq + r
-            if not seen[p]:
-                seen[p] = 1
-                stack.append(p)
-    return True
 
 
 def _least_missing(start, moves, d: FactorialDfa) -> tuple[int, ...] | None:

@@ -7,10 +7,11 @@ words, Myhill-Nerode table filling, a two-sided degree peel closed
 backwards, and dense power iteration.  None of it shares algorithmic
 machinery with the code under test (which uses joint bitmask evolution,
 vectorised preimages, product automata, matrix counting, an Aho-Corasick
-matcher, Moore refinement, one-sided peels and per-symbol gathers).  Most
-oracles still read membership through ``x.contains_word``, that is through
-the minimal acceptor; :func:`origin_contains` reads only the description
-the shift was built from, so it also checks canonicalization itself.
+matcher, Moore refinement, one-sided peels and per-symbol gathers).  The
+gap oracles still read membership through the minimal acceptor;
+:func:`origin_contains`, and the word lists and block counts built on it,
+read only the description the shift was built from, so they also check
+canonicalization itself.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ def periodic_point_allowed(spec, w, left_period, right_period):
                    for j in range(1, m + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def _sft_contains(spec, w):
     """No forbidden factor, and a forbidden-free infinite extension on each
     side.  Once ``w`` holds m - 1 symbols (m = window), the two sides
@@ -199,25 +201,29 @@ def common_extension(x, wa, wb) -> bool:
                for p in read({u}, wa) for q in read({v}, wb))
 
 
-def words_up_to(x, max_len):
-    """All language words of length 0..max_len, by prefix extension."""
-    syms = x.alphabet.symbols
-    out = [[""]]
+def _tiers(x, max_len):
+    """Rank words of ``x`` of each length 0..max_len, lexicographic, by
+    prefix extension read from ``x.origin`` alone."""
+    tiers = [[()]]
     for _ in range(max_len):
-        out.append([w + s for w in out[-1] for s in syms
-                    if x.contains_word(w + s)])
-    return [w for tier in out for w in tier]
+        tiers.append([w + (a,) for w in tiers[-1]
+                      for a in range(len(x.alphabet))
+                      if origin_contains(x, w + (a,))])
+    return tiers
+
+
+def words_up_to(x, max_len):
+    """All language words of length 0..max_len, by prefix extension, read
+    from ``x.origin`` (never the acceptor)."""
+    syms = x.alphabet.symbols
+    return ["".join(syms[a] for a in w)
+            for tier in _tiers(x, max_len) for w in tier]
 
 
 def block_counts_by_extension(x, n_max):
-    syms = x.alphabet.symbols
-    words = [""]
-    counts = [1]
-    for _ in range(n_max):
-        words = [w + s for w in words for s in syms
-                 if x.contains_word(w + s)]
-        counts.append(len(words))
-    return counts
+    """Block counts of lengths 0..n_max, read from ``x.origin``: a check
+    on ``block_counts``, which counts over the acceptor."""
+    return [len(tier) for tier in _tiers(x, n_max)]
 
 
 def fill_exists(x, u, v, n):

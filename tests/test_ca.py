@@ -5,7 +5,7 @@ garden-of-eden witnesses, and the bundled example pairs end to end."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soficlab import (Alphabet, CellularAutomaton, Word,
@@ -19,7 +19,10 @@ from soficlab import (Alphabet, CellularAutomaton, Word,
                       equal_shifts, language_included, block_counts,
                       AlphabetMismatch, NotEndomorphism, NotIntoTarget,
                       Shift, TableTooLarge, WordTooShort)
-from soficlab.ca import image_included
+from soficlab.ca import _image_graph, image_included, maps_into
+from soficlab.dfa import determinize
+from soficlab.errors import StateBlowup
+from soficlab.graph import LabeledGraph
 
 from oracles import (image_mismatch, image_word_outside, missing_preimage,
                      origin_blocks, origin_contains, periodic_point_allowed,
@@ -449,9 +452,36 @@ _INCLUSIONS = ([(name, name) for name in bundled_names()[0] + ("full3",)]
                + [("full2", y) for y in ("even", "golden", "twopoint", "zeros")])
 
 
+@st.composite
+def random_graph_shifts(draw):
+    """A graph shift drawn like the benchmark's graph files, smaller: 2-3
+    letters, 3-8 vertices, a spanning cycle plus one or two further
+    out-edges per vertex, labels free, so one vertex may carry two
+    out-edges with one label."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(3, 8))
+    label = st.integers(0, k - 1)
+    edges = [(v, (v + 1) % n, draw(label)) for v in range(n)]
+    for v in range(n):
+        edges += [(v, draw(st.integers(0, n - 1)), draw(label))
+                  for _ in range(draw(st.integers(1, 2)))]
+    alphabet = Alphabet(tuple(str(a) for a in range(k)))
+    return Shift.from_graph(LabeledGraph(alphabet, n, tuple(edges)))
+
+
 class TestImageIncluded:
-    """The endomorphism filter reads the recoded presentation, never an
+    """The endomorphism filter reads the domain's presentation, never an
     image shift, and must answer as the image's acceptor does."""
+
+    @staticmethod
+    def _agrees_with_the_acceptor_route(t, x, y):
+        """Check the verdict and witness against the image's acceptor;
+        the witness ranks, or None when the image lies in ``y``."""
+        d = image_included(t, x, y)
+        ref = language_included(image_presentation(t, x), y)
+        assert maps_into(t, x, y) is d.verdict
+        assert (d.verdict, d.witness) == (ref.verdict, ref.witness)
+        return None if d.verdict else d.witness.ranks()
 
     @given(st.sampled_from(_INCLUSIONS), st.integers(1, 4),
            st.integers(0, 10 ** 6))
@@ -460,12 +490,33 @@ class TestImageIncluded:
                                             seed):
         x, y = (_FULL3 if name == "full3" else shifts[name] for name in names)
         t = random_ca(x.alphabet, y.alphabet, (0, width - 1), seed)
-        d = image_included(t, x, y)
-        ref = language_included(image_presentation(t, x), y)
-        assert (d.verdict, d.witness) == (ref.verdict, ref.witness)
-        if not d.verdict:
+        w = self._agrees_with_the_acceptor_route(t, x, y)
+        if w is not None:
             # a word of the image, missing from y, and the least such
-            w = d.witness.ranks()
+            assert image_word_outside(t, x, y, len(w)) == w
+
+    @given(random_graph_shifts(), st.integers(1, 4), st.booleans(),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    # vertex 0 has two out-edges labelled 0, so the paths of one label
+    # window from it end at different vertices
+    @example(Shift.from_graph(LabeledGraph(Alphabet(("0", "1")), 3, (
+        (0, 1, 0), (0, 2, 0), (1, 0, 1), (2, 0, 0), (2, 2, 1)))), 3, False, 7)
+    def test_agrees_on_presentations_that_are_not_right_resolving(
+            self, x, width, into_full, seed):
+        y = Shift.from_forbidden(x.alphabet, ()) if into_full else x
+        t = random_ca(x.alphabet, y.alphabet, (0, width - 1), seed)
+        # the reference builds the image's acceptor, whose subset
+        # construction on three letters at width 4 can take 10^5 states
+        # and seconds; such draws are left out
+        try:
+            determinize(_image_graph(t, x), cap=20000)
+        except StateBlowup:
+            assume(False)
+        w = self._agrees_with_the_acceptor_route(t, x, y)
+        # the oracle reads all |A|^(len(w) + width - 1) words of x; least
+        # missing words here reach length 16, so it checks the short ones
+        if w is not None and len(x.alphabet) ** (len(w) + width - 1) <= 4096:
             assert image_word_outside(t, x, y, len(w)) == w
 
     def test_empty_domain_is_included(self, zeros):
@@ -634,13 +685,14 @@ class TestComputedOncePerRule:
 
     def test_image_inclusion_searched_once(self, monkeypatch, full2):
         # check_myhill and is_surjective both need the image inside the
-        # domain; the rule answers the second from the first
+        # domain; the rule answers the second from the first, and an
+        # inclusion that holds needs no witness search
         import soficlab.ca as ca
 
-        calls = self._count(monkeypatch, ca, ("graph_missing",))
+        calls = self._count(monkeypatch, ca, ("maps_into", "graph_missing"))
         rep = check_myhill(xor_ca(), full2)
         assert rep.surjective.verdict is True
-        assert calls == {"graph_missing": 1}
+        assert calls == {"maps_into": 1, "graph_missing": 0}
 
     def test_not_into_target_builds_no_image(self, monkeypatch, even):
         import soficlab.ca as ca
@@ -663,17 +715,21 @@ class TestComputedOncePerRule:
 
     def test_rejected_rule_builds_no_image(self, monkeypatch, even):
         # seed 2 at memory 0..2 leaves the even shift (it writes 010): no
-        # subset construction, no image shift, no acceptor comparison
+        # subset construction, no image shift, no acceptor comparison, no
+        # recoding and no witness search
         import soficlab.ca as ca
         import soficlab.corpus as corpus
         import soficlab.dfa as dfa
 
         calls = self._count(monkeypatch, dfa,
                             ("determinize", "shortest_missing"))
-        calls = self._count(monkeypatch, ca, ("image_presentation",), calls)
+        calls = self._count(monkeypatch, ca, ("image_presentation",
+                                              "path_graph", "graph_missing"),
+                            calls)
         monkeypatch.setattr(corpus, "image_presentation",
                             ca.image_presentation)
         rep = run_corpus(even, 1, 2, (0, 2))
         assert rep.skipped == 1 and rep.instances == ()
         assert calls == {"determinize": 0, "shortest_missing": 0,
-                         "image_presentation": 0}
+                         "image_presentation": 0, "path_graph": 0,
+                         "graph_missing": 0}
