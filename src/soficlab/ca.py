@@ -2,26 +2,29 @@
 surjectivity, and the theorem harnesses built on those decisions.
 
 Everything runs through one reduction: recode the domain so the map reads a
-single edge label.  Vertices of the recoded graph are (k-1)-blocks and
-edges are k-blocks with k at least the rule width, so each edge determines
-one output symbol.  Questions about pairs of points become reachability
+single edge label.  The states of the recoding are window states (v, w)
+of a presentation, a vertex v and the rank w of the last k-1 labels read
+into it, k the rule width (:func:`window_states`); an edge reads one more
+label, so it carries the rank b of a k-block, mapped to entry b of the
+rule's table.  Questions about pairs of points become reachability
 questions in the product of that graph with itself, restricted to edge
 pairs producing the same output.  The image recodes the essential
 presentation; the pair graph recodes the past-determined one,
 :attr:`Shift.deterministic`, on every domain, which makes pre-injectivity
-exact.  Whether the image lies in a target is decided on the domain's
-essential presentation, tracking the last k-1 labels read, against the
-target's acceptor (:func:`maps_into`): the verdict builds no recoding and
-no image shift.  The image is built only for a question that needs it:
-surjectivity, entropy, image invariants; its graph also for the witness
-of a failed inclusion.
+exact.  Whether the image lies in a target is decided by walking the
+essential presentation's window states against the target's acceptor
+(:func:`maps_into`): the verdict builds no recoding and no image shift.
+The image is built only for a question that needs it: surjectivity,
+entropy, image invariants; its graph also for the witness of a failed
+inclusion.
 
 Each (rule, domain) pair is analysed once: the pair graph, image graph,
 image and injectivity verdicts are cached on the rule under (name,
 domain), the image's inclusion in a target under (name, domain, target),
-shifts hashing by identity, and each recoding under the presentation it
-reads, graphs hashing by value (:meth:`Memo.derived`).  They are shared
-by every later call, must not be mutated, and are freed with the rule.
+shifts hashing by identity; window states and recodings, which depend on
+the width alone, on the domain under (name, presentation, width), graphs
+hashing by value (:meth:`Memo.derived`).  They are shared by every later
+call, must not be mutated, and are freed with the rule or the domain.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .dfa import graph_missing
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import (AlphabetMismatch, NotEndomorphism, NotIntoTarget,
                      TableTooLarge)
-from .graph import (LabeledGraph, core_vertices, infinite_path_starts,
-                    path_graph)
+from .graph import (LabeledGraph, block_digits, core_vertices,
+                    infinite_path_starts, window_graph, window_states)
 from .props import is_strongly_irreducible
 from .shift import Shift, equal_shifts
 
@@ -59,28 +62,22 @@ def _output_ranks(t: CellularAutomaton) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PairGraph:
-    """Product of the recoded presentation with itself, filtered to edge
-    pairs with equal output symbols.
+    """Product of the recoded past-determined presentation with itself,
+    filtered to edge pairs with equal output symbols.
 
-    ``base`` is the recoded past-determined presentation (edges are
-    k-blocks, mapped to the target ranks ``outputs``); pair vertex p*n+q
-    stands for the ordered vertex pair (p, q).  Each edge records both
-    k-block labels and a flag marking the pairs where the blocks differ.
+    The recoding has ``n_base`` window states (:func:`window_states` of
+    :attr:`Shift.deterministic` at the rule's ``width``); pair vertex p*n+q
+    stands for the ordered pair (p, q).  Each edge records the ranks of
+    both k-blocks read and a flag marking the pairs where they differ.
     """
 
-    base: LabeledGraph
-    blocks: tuple[tuple[int, ...], ...]
-    outputs: tuple[int, ...]
+    n_base: int
     width: int
     edges: tuple[tuple[int, int, int, int, bool], ...]  # (src,dst,la,lb,flag)
 
     @property
-    def n_base(self) -> int:
-        return self.base.n_vertices
-
-    @property
     def n_pairs(self) -> int:
-        return self.base.n_vertices ** 2
+        return self.n_base ** 2
 
 
 def _check_source(t: CellularAutomaton, x: Shift) -> None:
@@ -88,19 +85,19 @@ def _check_source(t: CellularAutomaton, x: Shift) -> None:
         raise AlphabetMismatch("the rule reads a different alphabet")
 
 
-def _recode(t: CellularAutomaton, g: LabeledGraph):
-    """One-block form of the presentation ``g``: the path graph whose edges
-    are the width-blocks of ``g``, the blocks, and the output rank of each.
-    Memoised on the rule by the value of ``g``, so a domain whose essential
-    graph and :attr:`Shift.deterministic` are equal is recoded once."""
-    def build(t: CellularAutomaton):
-        if g.n_vertices == 0:
-            # no blocks, so no block alphabet: the image is the empty shift
-            return LabeledGraph(g.alphabet, 0, ()), (), ()
-        pg, blocks = path_graph(g, t.width)
-        out = _output_ranks(t)
-        return pg, blocks, tuple(out[t.block_rank(b)] for b in blocks)
-    return t.derived(("recode", g), build)
+def _windows(x: Shift, g: LabeledGraph, k: int):
+    """:func:`window_states` of the presentation ``g`` of ``x``, memoised
+    on the domain by the value of ``g``."""
+    return x.derived(("windows", g, k), lambda x: window_states(g, k))
+
+
+def _recode(x: Shift, g: LabeledGraph, k: int) -> list[list[tuple[int, int]]]:
+    """The :func:`window_graph` of ``g``, memoised like :func:`_windows`,
+    so a domain whose essential graph and :attr:`Shift.deterministic` are
+    equal is recoded once.  A rule maps the edge label b to
+    ``_output_ranks(t)[b]``."""
+    return x.derived(("recode", g, k),
+                     lambda x: window_graph(g, k, _windows(x, g, k)))
 
 
 @_per_domain
@@ -108,27 +105,24 @@ def pair_graph(t: CellularAutomaton, x: Shift) -> PairGraph:
     """The pair graph over :attr:`Shift.deterministic`, the past-determined
     presentation of ``x``, on every domain."""
     _check_source(t, x)
-    pg, blocks, img = _recode(t, x.deterministic)
-    n = pg.n_vertices
-    by_src = pg.out_map()
-    pedges = []
-    for p in range(n):
-        for q in range(n):
-            for d1, a in by_src[p]:
-                for d2, b in by_src[q]:
-                    if img[a] == img[b]:
-                        pedges.append((p * n + q, d1 * n + d2, a, b, a != b))
-    pedges.sort(key=lambda e: (e[0], blocks[e[2]], blocks[e[3]]))
-    return PairGraph(pg, blocks, img, t.width, tuple(pedges))
+    by_src = _recode(x, x.deterministic, t.width)
+    n, out = len(by_src), _output_ranks(t)
+    # by source, then both labels, as the recoding lists its edges
+    return PairGraph(n, t.width, tuple(
+        (p * n + q, d1 * n + d2, a, b, a != b) for p in range(n)
+        for q in range(n) for d1, a in by_src[p] for d2, b in by_src[q]
+        if out[a] == out[b]))
 
 
-def _path_word(alphabet: Alphabet, blocks, labels: list[int]) -> Word:
-    """The domain word spelled by a recoded path: the first k-block plus
-    one fresh symbol per further edge."""
-    ranks = list(blocks[labels[0]])
-    for lab in labels[1:]:
-        ranks.append(blocks[lab][-1])
-    return alphabet.word_from_ranks(ranks)
+def _path_words(t: CellularAutomaton, la, lb) -> tuple[Word, Word, Word]:
+    """The domain words spelled by two recoded paths of equal outputs, each
+    the first k-block plus the last symbol of each further block, and
+    their image."""
+    na = len(t.source)
+    wa, wb = (t.source.word_from_ranks(block_digits(labels[0], na, t.width)
+                                       + tuple(b % na for b in labels[1:]))
+              for labels in (la, lb))
+    return wa, wb, t.target.word_from_ranks(map(_output_ranks(t).__getitem__, la))
 
 
 @dataclass(frozen=True)
@@ -183,11 +177,7 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
     hit = _diamond_search(pgr)
     if hit is None:
         return Decision(True, None, "point")
-    la, lb = hit
-    alphabet = x.alphabet
-    wa = _path_word(alphabet, pgr.blocks, la)
-    wb = _path_word(alphabet, pgr.blocks, lb)
-    img = t.target.word_from_ranks(pgr.outputs[e] for e in la)
+    wa, wb, img = _path_words(t, *hit)
     wit = DiamondWitness(ConfigurationWindow(0, wa),
                          ConfigurationWindow(0, wb), img)
     return Decision(False, wit, "point",
@@ -282,8 +272,7 @@ def _periodic_pair(pgr: PairGraph, alive_edges, e,
         closes a cycle, whose length is the period at that end."""
         path, order = [], [v]
         while True:
-            ed = min(edges_at[v],
-                     key=lambda x_: (pgr.blocks[x_[2]], pgr.blocks[x_[3]]))
+            ed = min(edges_at[v], key=lambda x_: (x_[2], x_[3]))
             path.append(ed)
             v = ed[end]
             if v in order:
@@ -295,12 +284,7 @@ def _periodic_pair(pgr: PairGraph, alive_edges, e,
     back, left_period = walk(e[0], into, 0)
     back.reverse()
     fwd, right_period = walk(e[1], outof, 1)
-    labels = back + [e] + fwd
-    la = [ed[2] for ed in labels]
-    lb = [ed[3] for ed in labels]
-    wa = _path_word(t.source, pgr.blocks, la)
-    wb = _path_word(t.source, pgr.blocks, lb)
-    img = t.target.word_from_ranks(pgr.outputs[l] for l in la)
+    wa, wb, img = _path_words(t, *zip(*(ed[2:4] for ed in back + [e] + fwd)))
     return PointPairWitness(wa, wb, left_period, right_period, img)
 
 
@@ -309,9 +293,9 @@ def _image_graph(t: CellularAutomaton, x: Shift) -> LabeledGraph:
     """The recoded essential presentation of ``x`` with each k-block edge
     relabelled by its output symbol: an essential graph of the image."""
     _check_source(t, x)
-    pg, _, img = _recode(t, x.essential)
-    return LabeledGraph(t.target, pg.n_vertices, tuple(
-        (s, d, img[a]) for s, d, a in pg.edges))
+    adj, out = _recode(x, x.essential, t.width), _output_ranks(t)
+    return LabeledGraph(t.target, len(adj), tuple(
+        (s, d, out[b]) for s, row in enumerate(adj) for d, b in row))
 
 
 @_per_domain
@@ -324,11 +308,11 @@ def maps_into(t: CellularAutomaton, x: Shift, y: Shift) -> bool:
     """Does ``t`` map every point of ``x`` into ``y``?  Memoised on the
     rule, so each (rule, domain, target) is searched once.
 
-    Depth first over triples (v, w, q): a vertex v of ``x.essential``, the
-    rank w of the last k-1 labels read (k the rule width) and a state q of
-    ``y.acceptor``, from every (v, w) that ends a path of k-1 edges, with
-    q = 0.  The outputs read from a vertex of the recoding depend only on
-    its last vertex and its label window, so these are the words
+    Depth first over triples (v, w, q): a window state (v, w) of
+    ``x.essential`` (a vertex v and the rank w of the last k-1 labels
+    read, k the rule width) and a state q of ``y.acceptor``, from each
+    window state of :func:`window_states`, memoised on the domain, with
+    q = 0.  These are the states and words of the recoding
     :func:`_image_graph` reads, with no recoding built.  The first move
     ``y`` cannot make answers no."""
     def decide(t: CellularAutomaton) -> bool:
@@ -342,10 +326,7 @@ def maps_into(t: CellularAutomaton, x: Shift, y: Shift) -> bool:
         out = _output_ranks(t)
         trans = y.acceptor.trans
         adj = x.essential.out_map()
-        ends = {(v, 0) for v in range(len(adj))}
-        for _ in range(t.width - 1):
-            ends = {(u, w * na + a) for v, w in ends for u, a in adj[v]}
-        stack = [(v, w, 0) for v, w in ends]
+        stack = [(v, w, 0) for v, w in _windows(x, x.essential, t.width)]
         seen = set(stack)
         while stack:
             v, w, q = stack.pop()

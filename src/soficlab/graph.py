@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .base import Alphabet
 from .errors import StateBlowup
 
-_PATH_CAP = 500_000  # max vertices when forming path graphs
+_PATH_CAP = 500_000  # max window states of a k-block recoding
 
 
 @dataclass(frozen=True)
@@ -243,54 +243,70 @@ def directed_diameter(g: LabeledGraph) -> int:
     return k
 
 
-def block_name(alphabet: Alphabet, ranks: tuple[int, ...]) -> str:
-    """Display name of a block of symbols; concatenated when the base
-    symbols are single characters, comma-joined otherwise."""
-    sep = "" if alphabet._single else ","  # type: ignore[attr-defined]
-    return sep.join(map(alphabet.symbols.__getitem__, ranks))
+def block_digits(b: int, base: int, k: int) -> tuple[int, ...]:
+    """The k symbol ranks of the block of base-``base`` rank ``b``."""
+    return tuple(b // base ** i % base for i in reversed(range(k)))
+
+
+def _label_steps(g: LabeledGraph) -> list[list[tuple[int, int]]]:
+    """Per-vertex sorted list of ``(symbol_rank, dst)``."""
+    return [sorted((a, d) for d, a in row) for row in g.out_map()]
+
+
+def window_states(g: LabeledGraph, k: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (v, w) where v ends a path of k-1 edges of ``g`` and w is
+    the base-|A| rank of its labels: all a width-k rule needs to know of
+    the path, as every path into (v, w) reads the same blocks on.
+
+    Numbered by first occurrence with the paths listed by start vertex,
+    then first label, then the vertex it reaches, and so on; built a level
+    at a time, keeping first occurrences, as a repeat's extensions follow
+    its first occurrence's.  Raises StateBlowup past ``_PATH_CAP``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    na, steps = len(g.alphabet), _label_steps(g)
+    states = [(v, 0) for v in range(g.n_vertices)]
+    for _ in range(k - 1):
+        states = list(dict.fromkeys(
+            (u, w * na + a) for v, w in states for a, u in steps[v]))
+        if len(states) > _PATH_CAP:
+            raise StateBlowup(f"recoding exceeds {_PATH_CAP} window states")
+    return tuple(states)
+
+
+def window_graph(g: LabeledGraph, k: int, states) -> list[list[tuple[int, int]]]:
+    """The k-block recoding of ``g`` on its :func:`window_states`: the
+    out-edges ``(dst, b)`` of each state, by label.  An edge v -a-> u of
+    ``g`` leads from (v, w) to (u, b mod |A|^(k-1)), where b = w*|A| + a
+    is the rank of the k-block read.  For an essential ``g`` the recoding
+    is essential and reads the k-block recodings of the sequences of
+    ``g``."""
+    na, m, steps = len(g.alphabet), len(g.alphabet) ** (k - 1), _label_steps(g)
+    sid = {s: i for i, s in enumerate(states)}
+    return [[(sid[u, (w * na + a) % m], w * na + a) for a, u in steps[v]]
+            for v, w in states]
 
 
 def path_graph(g: LabeledGraph, k: int) -> tuple[LabeledGraph, tuple[tuple[int, ...], ...]]:
-    """The k-th path graph: vertices are paths of length ``k-1`` in ``g``,
-    edges are paths of length ``k`` labeled by their full label block.
+    """The k-th higher block presentation: :func:`window_graph` with each
+    edge labeled by its k-block as a symbol.
 
     The new alphabet is the set of label blocks that occur, sorted by rank
     tuple; the second return value maps new symbol rank -> rank tuple over
-    the old alphabet.  For an essential ``g`` the result is essential and
-    presents the recoding of the same sequences by overlapping k-blocks.
+    the old alphabet.  Block names concatenate single-character symbols
+    and comma-join longer ones.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    adj = g.out_map()
-    # flat path encoding: (v0, s1, v1, ..., s_{k-1}, v_{k-1})
-    paths: list[tuple[int, ...]] = [(v,) for v in range(g.n_vertices)]
-    for _ in range(k - 1):
-        nxt = []
-        for p in paths:
-            for w, a in adj[p[-1]]:
-                nxt.append(p + (a, w))
-            if len(nxt) > _PATH_CAP:
-                raise StateBlowup(f"path graph exceeds {_PATH_CAP} vertices")
-        paths = nxt
-    paths.sort()
-    vid = {p: i for i, p in enumerate(paths)}
-    blocks_seen: set[tuple[int, ...]] = set()
-    raw_edges = []
-    for p in paths:
-        for w, a in adj[p[-1]]:
-            block = p[1::2] + (a,)
-            q = (p + (a, w))[2:]
-            blocks_seen.add(block)
-            raw_edges.append((vid[p], vid[q], block))
-    blocks = tuple(sorted(blocks_seen))
-    brank = {b: i for i, b in enumerate(blocks)}
-    names = tuple(block_name(g.alphabet, b) for b in blocks)
+    adj = window_graph(g, k, window_states(g, k))
+    used = sorted({b for row in adj for _, b in row})
+    blocks = tuple(block_digits(b, len(g.alphabet), k) for b in used)
+    sep = "" if g.alphabet._single else ","  # type: ignore[attr-defined]
+    names = tuple(sep.join(g.alphabet.symbols[r] for r in b) for b in blocks)
     if len(set(names)) != len(names):
         # pathological symbol names; fall back to unambiguous ones
         names = tuple("b" + "_".join(map(str, b)) for b in blocks)
-    balpha = Alphabet(names)
-    edges = tuple((s, d, brank[b]) for s, d, b in raw_edges)
-    return LabeledGraph(balpha, len(paths), edges), blocks
+    brank = {b: i for i, b in enumerate(used)}
+    return LabeledGraph(Alphabet(names), len(adj), tuple(
+        (s, d, brank[b]) for s, row in enumerate(adj) for d, b in row)), blocks
 
 
 def refine_classes(trans) -> tuple[list[int], int]:

@@ -56,63 +56,65 @@ def _sft_contains(spec, w):
     extend independently: a factor that reaches from one extension across
     ``w`` into the other has more than m symbols, so it is longer than
     every forbidden word.  Each side then depends only on the m - 1 end
-    symbols of ``w`` (:func:`_endless`).  A shorter word is a block iff
+    symbols of ``w`` (:func:`_sft_steps`).  A shorter word is a block iff
     one of its forbidden-free right extensions to m - 1 symbols is."""
-    bad, keep, right, left = _sft_steps(spec)
+    bad, keep, ahead, behind = _sft_steps(spec)
     if any(w[i:j] in bad for j in range(len(w) + 1) for i in range(j)):
         return False
     if len(w) < keep:
         return any(_sft_contains(spec, w + (a,))
                    for a in range(len(spec.alphabet)))
-    return (_endless(left, w[:keep])
-            and _endless(right, w[len(w) - keep:]))
+    return w[:keep] in behind and w[len(w) - keep:] in ahead
 
 
 @functools.lru_cache(maxsize=None)
 def _sft_steps(spec):
     """The forbidden rank words of ``spec``, the length m - 1 of the blocks
-    an extension depends on, and the one-symbol steps of such a block to
-    the right and to the left: the blocks b[1:] + a (a + b[:-1]) for the
-    symbols a that put no forbidden word at the end (start) of b + a
-    (a + b).  Steps are memoised per block."""
+    an extension depends on, and the sets of forbidden-free (m - 1)-blocks
+    that extend forever to the right and to the left.
+
+    A block b steps right to b[1:] + a for each symbol a that puts no
+    forbidden word at the end of b + a, and left to a + b[:-1] likewise.
+    Each side's set is what survives peeling the blocks from which every
+    step leads to a peeled block (:func:`_unpeeled`)."""
     bad = frozenset(f.ranks() for f in spec.forbidden)
     keep = spec.window - 1
     syms = range(len(spec.alphabet))
 
-    @functools.lru_cache(maxsize=None)
-    def right(b):
-        return tuple(u[1:] for u in (b + (a,) for a in syms)
-                     if not any(u[len(u) - j:] in bad
-                                for j in range(1, len(u) + 1)))
+    def clean_end(u):
+        return not any(u[len(u) - j:] in bad for j in range(1, len(u) + 1))
 
-    @functools.lru_cache(maxsize=None)
-    def left(b):
-        return tuple(u[:keep] for u in ((a,) + b for a in syms)
-                     if not any(u[:j] in bad for j in range(1, len(u) + 1)))
+    def clean_start(u):
+        return not any(u[:j] in bad for j in range(1, len(u) + 1))
 
-    return bad, keep, right, left
+    blocks = [()]
+    for _ in range(keep):  # forbidden-free words, grown at the right end
+        blocks = [u for b in blocks for u in (b + (a,) for a in syms)
+                  if clean_end(u)]
+    right = {b: [u[1:] for u in (b + (a,) for a in syms) if clean_end(u)]
+             for b in blocks}
+    left = {b: [u[:keep] for u in ((a,) + b for a in syms) if clean_start(u)]
+            for b in blocks}
+    return bad, keep, _unpeeled(right), _unpeeled(left)
 
 
-@functools.lru_cache(maxsize=None)
-def _endless(step, block):
-    """Does ``block`` start an infinite walk under ``step``?  Follows the
-    set of blocks reached in exactly i steps.  It answers no when the set
-    empties, and yes when the set repeats an earlier one (it then cycles
-    forever) or when i reaches the number of distinct blocks seen so far:
-    a walk of i steps visits i + 1 blocks, so one of them repeats and
-    closes a cycle.  That count is at most the number of forbidden-free
-    (m - 1)-blocks, which bounds the search."""
-    frontier = frozenset((block,))
-    frontiers, blocks = {frontier}, set(frontier)
-    i = 0
-    while frontier:
-        frontier = frozenset(c for b in frontier for c in step(b))
-        i += 1
-        blocks |= frontier
-        if frontier in frontiers or i >= len(blocks):
-            return bool(frontier)
-        frontiers.add(frontier)
-    return False
+def _unpeeled(step):
+    """The blocks that start an infinite walk under ``step`` (block -> list
+    of next blocks): drop each block whose steps all lead to dropped
+    blocks, counting down its live steps, until no block is left to
+    drop."""
+    live = {b: len(nxt) for b, nxt in step.items()}
+    back = {b: [] for b in step}
+    for b, nxt in step.items():
+        for c in nxt:
+            back[c].append(b)
+    dropped = [b for b, n in live.items() if n == 0]
+    for c in dropped:
+        for b in back[c]:
+            live[b] -= 1
+            if live[b] == 0:
+                dropped.append(b)
+    return frozenset(b for b, n in live.items() if n > 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,11 +168,28 @@ def _graph_contains(g, w):
 
 def common_extension(x, wa, wb) -> bool:
     """Do some left-infinite u and right-infinite v make both u.wa.v and
-    u.wb.v points of ``x``?  Read from ``x.origin`` alone (an SFT through
-    :func:`sft_graph_by_suffix_scan`): vertex pairs with an infinite
-    equal-label path into them, and out of them, are what survives
-    dropping pairs with no such step until none is left; the words are
-    then read from each pair of the first kind."""
+    u.wb.v points of ``x``?  Read from ``x.origin`` alone
+    (:func:`_equal_label_pairs`); the words are read from each pair with
+    an infinite equal-label path into it."""
+    out, ahead, behind = _equal_label_pairs(x)
+
+    def read(states, w):
+        for a in w:
+            states = {d for s in states for d, b in out[s] if b == a}
+        return states
+
+    return any((p, q) in ahead
+               for u, v in behind
+               for p in read({u}, wa) for q in read({v}, wb))
+
+
+@functools.lru_cache(maxsize=None)
+def _equal_label_pairs(x):
+    """The out-edges ``(dst, label)`` of each vertex of ``x.origin`` (an
+    SFT through :func:`sft_graph_by_suffix_scan`), and its vertex pairs
+    with an infinite equal-label path out of them, and into them: what
+    survives dropping pairs with no such step until none is left.
+    Memoised per shift: it does not depend on the words."""
     g = x.origin
     if isinstance(g, SftSpec):
         g = sft_graph_by_suffix_scan(g, 10 ** 6)
@@ -190,15 +209,7 @@ def common_extension(x, wa, wb) -> bool:
                 return live
             live = keep
 
-    def read(states, w):
-        for a in w:
-            states = {d for s in states for d, b in out[s] if b == a}
-        return states
-
-    ahead = endless(out)
-    return any((p, q) in ahead
-               for u, v in endless(into)
-               for p in read({u}, wa) for q in read({v}, wb))
+    return out, endless(out), endless(into)
 
 
 def _tiers(x, max_len):
