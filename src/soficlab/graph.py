@@ -281,7 +281,8 @@ def window_graph(g: LabeledGraph, k: int, states) -> list[list[tuple[int, int]]]
     is the rank of the k-block read.  For an essential ``g`` the recoding
     is essential and reads the k-block recodings of the sequences of
     ``g``."""
-    na, m, steps = len(g.alphabet), len(g.alphabet) ** (k - 1), _label_steps(g)
+    na = len(g.alphabet)
+    m, steps = na ** (k - 1), _label_steps(g)
     sid = {s: i for i, s in enumerate(states)}
     return [[(sid[u, (w * na + a) % m], w * na + a) for a, u in steps[v]]
             for v, w in states]
