@@ -9,8 +9,8 @@ from .ca import (DiamondWitness, EntropyPreservationReport, MyhillReport,
                  check_myhill, constant_ca, identity_ca, image_presentation,
                  is_injective, is_pre_injective, is_surjective, pair_graph,
                  random_ca, search_moore_counterexample, xor_ca)
-from .corpus import (CorpusInstance, CorpusReport, instance_lines,
-                     run_bundled_examples, run_corpus)
+from .corpus import (Classification, CorpusInstance, CorpusReport, classify,
+                     instance_lines, run_bundled_examples, run_corpus)
 from .entropy import (EntropyEstimate, FolnerWindow, block_count,
                       block_counts, entropy_blocks, entropy_compare,
                       entropy_spectral)

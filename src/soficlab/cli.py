@@ -16,9 +16,9 @@ import sys
 
 from .base import CellularAutomaton
 from .bundled import bundled_raw_ca, bundled_shift
-from .ca import check_entropy_preservation, check_myhill, is_injective
-from .corpus import flag, instance_lines, run_bundled_examples, run_corpus
-from .entropy import entropy_blocks, entropy_spectral
+from .corpus import (classify, flag, instance_lines, run_bundled_examples,
+                     run_corpus)
+from .entropy import block_counts, entropy_blocks, entropy_spectral
 from .errors import (CapExceeded, EmptyShift, NotEndomorphism, NotMixing,
                      ParseError, SoficlabError)
 from .props import (is_irreducible, is_mixing, is_strongly_irreducible,
@@ -94,6 +94,23 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _count_table(x: Shift, n_max: int, header: str) -> None:
+    """Exact block counts of lengths 1..n_max with log(count)/n."""
+    counts = block_counts(x, n_max)
+    print(header)
+    for n in range(1, n_max + 1):
+        print(f"{n}\t{counts[n]}\t{_fmt(math.log(counts[n]) / n)}")
+
+
+def _contradiction_lines(contradictions) -> int:
+    """Print each contradiction as a prose line and a ``#:`` line; return
+    exit code 2 if there is any, else 0."""
+    for c in contradictions:
+        print(f"CONTRADICTION: {c}")
+        print(f"#: contradiction {c}")
+    return 2 if contradictions else 0
+
+
 def _entropy_lines(x: Shift, tol: float, n_max: int) -> int:
     sp = entropy_spectral(x, tol)
     bl = entropy_blocks(x, n_max)
@@ -144,11 +161,7 @@ def cmd_shift_analyze(args) -> int:
             print(f"minimal gap: undecided within cap ({exc})")
     _entropy_lines(x, args.tol, args.n_max)
     if args.table:
-        from .entropy import block_counts
-        counts = block_counts(x, args.table)
-        print("n\tcount\tlog_count_over_n")
-        for n in range(1, args.table + 1):
-            print(f"{n}\t{counts[n]}\t{_fmt(math.log(counts[n]) / n)}")
+        _count_table(x, args.table, "n\tcount\tlog_count_over_n")
     return 0
 
 
@@ -158,11 +171,7 @@ def cmd_shift_entropy(args) -> int:
         print("the shift is empty")
         print("#: empty 1")
         return 0
-    from .entropy import block_counts
-    counts = block_counts(x, args.n_max)
-    print("n\t|X_n|\tlog|X_n|/n")
-    for n in range(1, args.n_max + 1):
-        print(f"{n}\t{counts[n]}\t{_fmt(math.log(counts[n]) / n)}")
+    _count_table(x, args.n_max, "n\t|X_n|\tlog|X_n|/n")
     return _entropy_lines(x, args.tol, args.n_max)
 
 
@@ -171,14 +180,9 @@ def cmd_ca_analyze(args) -> int:
     t = _load_ca(args.ca, x)
     print(f"rule: {args.ca} with memory [{t.mem_left}, {t.mem_right}] "
           f"on {args.shift}")
-    try:
-        my = check_myhill(t, x)
-    except NotEndomorphism as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    inj = is_injective(t, x)
-    sur = my.surjective
-    pre = my.pre_injective
+    c = classify(t, x, f"{args.ca} on {args.shift}", args.tol)
+    my, inj, ent = c.myhill, c.injective, c.entropy
+    pre, sur = my.pre_injective, my.surjective
     print(f"pre-injective: {_yn(pre.verdict)} (scope {pre.scope})"
           + (f"  [{pre.note}]" if pre.note else ""))
     if pre.verdict is False:
@@ -200,7 +204,6 @@ def cmd_ca_analyze(args) -> int:
     print(f"#: surjective {flag(sur.verdict)}")
     print(f"strongly irreducible domain: {_yn(my.si.verdict)}")
     print(f"#: si {flag(my.si.verdict)}")
-    ent = check_entropy_preservation(t, x, args.tol)
     print(f"entropy: domain {_fmt(ent.h_domain.value)}, "
           f"image {_fmt(ent.h_image.value)} nats; "
           f"image <= domain: {_yn(ent.leq_holds)}")
@@ -208,12 +211,10 @@ def cmd_ca_analyze(args) -> int:
         print(f"entropy preserved (asserted): {_yn(ent.equality_holds)}")
     print(f"#: h_domain {_fmt(ent.h_domain.value)}")
     print(f"#: h_image {_fmt(ent.h_image.value)}")
-    bad = my.contradiction or not ent.leq_holds or \
-        (ent.equality_asserted and ent.equality_holds is False) or \
-        (inj.verdict is True and pre.verdict is False)
-    print(f"consistent with the certified implications: {_yn(not bad)}")
-    print(f"#: consistent {flag(not bad)}")
-    return 2 if bad else 0
+    code = _contradiction_lines(c.contradictions)
+    print(f"consistent with the certified implications: {_yn(not code)}")
+    print(f"#: consistent {flag(not code)}")
+    return code
 
 
 def cmd_corpus(args) -> int:
@@ -230,10 +231,7 @@ def cmd_corpus(args) -> int:
             print(f"#: example {o.label.replace(' ', '_')} "
                   f"{flag(my.si.verdict)} {flag(my.pre_injective.verdict)} "
                   f"{flag(my.surjective.verdict)}")
-            for c in o.contradictions:
-                print(f"CONTRADICTION: {c}")
-                print(f"#: contradiction {c}")
-                code = 2
+            code = max(code, _contradiction_lines(o.contradictions))
         if not args.shift:
             return code
     shifts = args.shift or []
@@ -252,14 +250,10 @@ def cmd_corpus(args) -> int:
               "entropy_image")
         for line in instance_lines(rep):
             print(f"#: {line}")
-        for c in rep.contradictions:
-            print(f"CONTRADICTION: {c}")
-            print(f"#: contradiction {c}")
+        code = max(code, _contradiction_lines(rep.contradictions))
         print(f"#: summary shift={token} kept={len(rep.instances)} "
               f"skipped={rep.skipped} contradictions="
               f"{len(rep.contradictions)}")
-        if rep.contradictions:
-            code = 2
     return code
 
 
@@ -369,10 +363,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EmptyShift, NotEndomorphism) as exc:
+    except (ParseError, EmptyShift, NotEndomorphism) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SoficlabError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .base import Alphabet, CellularAutomaton
 from .errors import AlphabetMismatch, ParseError
-from .graph import LabeledGraph
+from .graph import LabeledGraph, block_digits
 from .shift import Shift
 
 
@@ -186,14 +186,9 @@ def bind_ca(raw: RawCa, source: Alphabet,
             raise ParseError(
                 f"{raw.name}: duplicate rule for {intext!r}", lineno)
         table[idx] = outtext
-    if any(s is None for s in table):
-        miss = table.index(None)
-        # reconstruct the missing input word for the message
-        ranks = []
-        for _ in range(width):
-            ranks.append(miss % len(source))
-            miss //= len(source)
-        word = "".join(source.symbols[r] for r in reversed(ranks))
+    if None in table:
+        word = "".join(source.symbols[r] for r in
+                       block_digits(table.index(None), len(source), width))
         raise ParseError(f"{raw.name}: rule table is partial, first missing "
                          f"input {word!r}")
     return CellularAutomaton(source, target, raw.mem_left, raw.mem_right,

@@ -106,6 +106,14 @@ def _certificate_margin(x: Shift) -> int:
         raise CertificateMissing(f"no uniform-gap certificate: {e}") from e
 
 
+def _tile_starts(n: int, d: int, margin: int,
+                 stride: int) -> tuple[int, ...]:
+    """Starts g, at multiples of ``stride``, of the tiles [g, g+d) whose
+    dilation by ``margin`` on both sides lies inside [0, n)."""
+    return tuple(g for g in range(0, max(n, 1), stride)
+                 if g >= margin and g + d - 1 + margin <= n - 1)
+
+
 def pattern_exclusion_bound(x: Shift, d: int, n: int,
                             pattern=None) -> PatternExclusionReport:
     """Exclude one pattern on every complete tile and compare counts.
@@ -129,8 +137,7 @@ def pattern_exclusion_bound(x: Shift, d: int, n: int,
         pattern = x.alphabet.word(pattern)
         if len(pattern) != d or not x.contains_word(pattern):
             raise ValueError("pattern must be an allowed word of length d")
-    tiles = tuple(g for g in range(0, max(n, 1), stride)
-                  if g >= margin and g + d - 1 + margin <= n - 1)
+    tiles = _tile_starts(n, d, margin, stride)
     rho = block_count(x, stride)
     c_n = block_count(x, n)
     q = _count_avoiding(x, n, tiles, pattern)
@@ -207,8 +214,7 @@ def positivity_lower_bound(x: Shift, n_max: int = 24) -> PositivityReport:
     rows = []
     ok = True
     for n in range(n_max + 1):
-        tiles = [g for g in range(0, max(n, 1), stride)
-                 if g >= margin and g + d - 1 + margin <= n - 1]
+        tiles = _tile_starts(n, d, margin, stride)
         rows.append((n, counts[n], len(tiles)))
         ok = ok and counts[n] >= 2 ** len(tiles)
     return PositivityReport(d, stride, margin, tuple(rows), ok)

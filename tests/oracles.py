@@ -7,7 +7,10 @@ words, Myhill-Nerode table filling, a two-sided degree peel closed
 backwards, and dense power iteration.  None of it shares algorithmic
 machinery with the code under test (which uses joint bitmask evolution,
 vectorised preimages, product automata, matrix counting, an Aho-Corasick
-matcher, Moore refinement, one-sided peels and per-symbol gathers).  The
+matcher, Moore refinement, one-sided peels and per-symbol gathers), with
+one exception: the equal-label vertex pairs of :func:`common_extension`
+are found by a count-down peel, the idea of the one-sided peels, run on
+pairs of the origin graph, which the package never builds.  The
 gap oracles still read membership through the minimal acceptor;
 :func:`origin_contains`, and the word lists and block counts built on it,
 read only the description the shift was built from, so they also check
@@ -199,17 +202,35 @@ def _equal_label_pairs(x):
         out[s].append((d, a))
         into[d].append((s, a))
 
-    def endless(adj):
-        live = set(itertools.product(range(g.n_vertices), repeat=2))
-        while True:
-            keep = {(p, q) for p, q in live
-                    if any((p2, q2) in live for p2, a in adj[p]
-                           for q2, b in adj[q] if a == b)}
-            if keep == live:
-                return live
-            live = keep
+    def endless(adj, rev):
+        """Pairs with an infinite equal-label path along ``adj``.  The
+        equal-label steps out of (p, q) number (C C^T)[p, q], C[v, a] the
+        count of a-labelled steps out of v; a pair whose count is 0 is
+        dropped and takes one step from each pair of its in-list, the
+        equal-label steps into it along ``rev``, until none is left."""
+        n, k = g.n_vertices, len(g.alphabet)
+        c = np.zeros((n, k), dtype=np.int64)
+        into = [[[] for _ in range(k)] for _ in range(n)]
+        for v in range(n):
+            for _, a in adj[v]:
+                c[v, a] += 1
+            for u, a in rev[v]:
+                into[v][a].append(u)
+        steps = (c @ c.T).tolist()
+        dropped = deque((p, q) for p in range(n) for q in range(n)
+                        if steps[p][q] == 0)
+        while dropped:
+            p2, q2 = dropped.popleft()
+            for ps, qs in zip(into[p2], into[q2]):
+                for p in ps:
+                    row = steps[p]
+                    for q in qs:
+                        row[q] -= 1
+                        if row[q] == 0:
+                            dropped.append((p, q))
+        return {(p, q) for p in range(n) for q in range(n) if steps[p][q]}
 
-    return out, endless(out), endless(into)
+    return out, endless(out, into), endless(into, out)
 
 
 def _tiers(x, max_len):

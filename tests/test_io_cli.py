@@ -6,9 +6,11 @@ are the stability contract, so several are pinned byte for byte.
 
 import pytest
 
-from soficlab import (ParseError, parse_shift_text, parse_ca_text, bind_ca,
-                      bundled_names, bundled_shift, bundled_raw_ca,
-                      equal_shifts)
+import soficlab.ca
+import soficlab.corpus
+from soficlab import (Decision, ParseError, parse_shift_text, parse_ca_text,
+                      bind_ca, bundled_names, bundled_shift, bundled_raw_ca,
+                      equal_shifts, run_corpus, xor_ca)
 from soficlab.cli import main
 
 
@@ -188,7 +190,8 @@ class TestCliCa:
 
     def test_non_endomorphism_exit_one(self, capsys):
         assert main(["ca", "analyze", "golden", "xor"]) == 1
-        assert "'11'" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: image leaves the shift: witness '11'\n"
 
 
 class TestCliCorpus:
@@ -214,6 +217,62 @@ class TestCliCorpus:
             assert ei.value.code == 1
             assert f"bad memory interval {memory!r}" in \
                 capsys.readouterr().err
+
+
+class TestPlantedContradictions:
+    """A planted fault must surface as a contradiction in every front end:
+    a ``#: contradiction`` line and exit code 2."""
+
+    MYHILL = ("pre-injective endomorphism of a strongly irreducible shift "
+              "is not surjective")
+
+    @pytest.fixture
+    def xor_not_onto(self, monkeypatch):
+        """``is_surjective`` answers no for xor, which is onto."""
+        real = soficlab.ca.is_surjective
+
+        def planted(t, x, y):
+            if t.table == xor_ca().table:
+                return Decision(False, x.word("11"), "point", note="planted")
+            return real(t, x, y)
+        monkeypatch.setattr(soficlab.ca, "is_surjective", planted)
+
+    def test_run_corpus(self, xor_not_onto, full2):
+        # seed 6 draws the xor table at memory 0..1
+        rep = run_corpus(full2, count=3, seed=5, memory=(0, 1))
+        assert rep.contradictions == (f"seed 6: {self.MYHILL}",)
+        assert rep.worst_exit == 2
+
+    def test_corpus_cli(self, xor_not_onto, capsys):
+        assert main(["corpus", "--shift", "full2", "--count", "3",
+                     "--seed", "5"]) == 2
+        out = capsys.readouterr().out
+        assert f"#: contradiction seed 6: {self.MYHILL}" in out
+        assert "#: summary shift=full2 kept=3 skipped=0 contradictions=1" \
+            in out
+
+    def test_paper_examples(self, xor_not_onto, capsys):
+        assert main(["corpus", "--paper-examples"]) == 2
+        lines = [l for l in machine_lines(capsys.readouterr().out)
+                 if l.startswith("#: contradiction")]
+        assert lines == [f"#: contradiction xor on full2: {self.MYHILL}"]
+
+    def test_ca_analyze(self, xor_not_onto, capsys):
+        assert main(["ca", "analyze", "full2", "xor"]) == 2
+        out = capsys.readouterr().out
+        assert f"#: contradiction xor on full2: {self.MYHILL}" in out
+        assert "#: consistent 0" in out
+
+    def test_ca_analyze_block_counts(self, monkeypatch, capsys):
+        # an image with too many blocks: the full shift on three symbols
+        full3 = parse_shift_text("alphabet: 0 1 2\nforbidden:\n", "<t>")
+        monkeypatch.setattr(soficlab.corpus, "image_presentation",
+                            lambda t, x: full3)
+        assert main(["ca", "analyze", "full2", "xor"]) == 2
+        lines = [l for l in machine_lines(capsys.readouterr().out)
+                 if l.startswith("#: contradiction")]
+        assert lines == ["#: contradiction xor on full2: image block counts "
+                         "exceed domain block counts"]
 
 
 class TestCliEmptyDomain:
