@@ -32,7 +32,7 @@ from .ca import (EntropyPreservationReport, MyhillReport,
                  check_entropy_preservation, check_myhill,
                  image_presentation, is_injective, maps_into, random_ca)
 from .entropy import block_counts, entropy_spectral
-from .props import is_strongly_irreducible
+from .props import is_mixing, is_strongly_irreducible
 from .shift import Shift
 
 _COUNT_N = 12
@@ -76,7 +76,8 @@ def classify(t: CellularAutomaton, x: Shift, label: str,
                       for n in range(1, _COUNT_N + 1))
     image_si = None
     if _is_full(x) and not img.is_empty:
-        image_si = is_strongly_irreducible(img).verdict
+        # mixing is strong irreducibility here, with no gap certificate
+        image_si = is_mixing(img).mixing
     hs = f"({ent.h_domain.value!r} vs {ent.h_image.value!r})"
     broken = (
         (inj.verdict is True and my.pre_injective.verdict is False,

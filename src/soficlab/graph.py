@@ -124,13 +124,12 @@ def essentialize(g: LabeledGraph) -> tuple[LabeledGraph, list[int]]:
     return subgraph(g, [v for v in range(g.n_vertices) if alive[v]])
 
 
-def strongly_connected_components(g: LabeledGraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Components are sorted vertex lists;
-    the list is in reverse topological order of the condensation."""
-    n = g.n_vertices
-    adj = [[] for _ in range(n)]
-    for s, d, _ in g.edges:
-        adj[s].append(d)
+def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, over successor lists (``adj[v]`` the
+    vertices one edge from v).  Components are sorted vertex lists; the
+    list is in reverse topological order of the condensation, so it opens
+    with a sink."""
+    n = len(adj)
     index = [-1] * n
     low = [0] * n
     onstack = [False] * n

@@ -2,9 +2,11 @@
 
 The decision procedures run on one canonical object built by Shift: the
 minimal acceptor, read both for language-level questions (does some word
-connect u to v) and, as a right-resolving graph, for structural ones
-(synchronizing words, the synchronized cover cut out of it, the cover's
-diameter and cycle gcd).
+connect u to v) and for structural ones (synchronizing words, the
+synchronized cover, its diameter and cycle gcd).  For an irreducible shift
+the follower sets of its synchronizing words are the acceptor's unique
+sink component, which every state reaches (Lind & Marcus, *Symbolic
+Dynamics and Coding*, 3.3), so that component is the synchronized cover.
 
 Uniform-gap questions quantify over infinitely many word pairs and gap
 lengths; both quantifiers are made finite here.  Word pairs matter only
@@ -13,13 +15,13 @@ reachability data evolves through a finite space, so it is eventually
 periodic; detecting the cycle turns "for all N >= N0" into an exact check.
 
 Each invariant is computed once per Shift and memoised on it (see
-:meth:`Memo.derived`): the condensation of the acceptor (its strongly
-connected components, which the reach closure, the synchronized cover and
-spectral entropy all read), the joinability data (reach closure, backward
-family, state labels), the synchronized cover, the mixing report and the
-gap certificate.  All state sets are bitmasks.  The reach closure takes one
-pass over the condensation, sinks first; the backward family comes from
-vectorised preimages
+:meth:`Memo.derived`): the acceptor's successor table, which every pass
+over its moves reads, its condensation (strongly connected components,
+which the reach closure, the synchronized cover and spectral entropy read),
+the joinability data (reach closure, backward family, state labels), the
+synchronized cover, the mixing report and the gap certificate.  All state
+sets are bitmasks.  The reach closure takes one pass over the condensation,
+sinks first; the backward family comes from vectorised preimages
 (:func:`backward_subsets`).  The gap evolution ORs successor rows, one step
 per gap length, and tests each distinct row once, against the
 inclusion-minimal backward sets; only a row that misses one scans the
@@ -32,13 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import ConfigurationWindow, Decision, Word
-from .dfa import (FactorialDfa, backward_subsets, shortest_sync,
-                  shortest_words)
+from .dfa import FactorialDfa, backward_subsets, shortest_sync, shortest_words
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, bfs_levels, cycle_gcd, directed_diameter,
-                    strongly_connected_components, subgraph, successor_rows,
-                    transition_rows)
+                    strongly_connected_components, successor_rows)
 from .shift import Shift
 
 _GAP_CAP = 256
@@ -128,32 +128,28 @@ class GlueRequest:
 
 # ---------------------------------------------------------------- helpers
 
+def _successors(x: Shift) -> list[list[int]]:
+    """``succ[q]``: the sorted distinct successors of acceptor state q (any
+    symbol); memoised on ``x``."""
+    return x.derived("successors", lambda y: [
+        sorted({t for t in row if t != -1}) for row in y.acceptor.trans])
+
+
 def _condensation(x: Shift) -> list[list[int]]:
     """Strongly connected components of the acceptor, sinks first (see
     :func:`strongly_connected_components`); memoised on ``x``."""
     return x.derived("condensation", lambda y: strongly_connected_components(
-        y.acceptor_graph))
+        _successors(y)))
 
 
-def _post_all_masks(d: FactorialDfa) -> list[int]:
-    """mask[q] = bitmask of one-step successors of q (any symbol)."""
-    out = [0] * d.n_states
-    for q, row in enumerate(d.trans):
-        m = 0
-        for t in row:
-            if t != -1:
-                m |= 1 << t
-        out[q] = m
-    return out
-
-
-def _step_mask(mask: int, post_all: list[int]) -> int:
+def _step_mask(mask: int, succ: list[list[int]]) -> int:
+    """The states one move from those of ``mask``."""
     out = 0
-    m = mask
-    while m:
-        lsb = m & -m
-        out |= post_all[lsb.bit_length() - 1]
-        m ^= lsb
+    while mask:
+        lsb = mask & -mask
+        for t in succ[lsb.bit_length() - 1]:
+            out |= 1 << t
+        mask ^= lsb
     return out
 
 
@@ -213,7 +209,7 @@ class _Joinability:
     __slots__ = ("reach", "family", "minimal", "labels", "_misses")
 
     def __init__(self, x: Shift):
-        d = x.acceptor
+        d, succ = x.acceptor, _successors(x)
         # components come sinks first, so every successor outside a
         # component already has its reach when the component is closed
         reach = [0] * d.n_states
@@ -222,9 +218,8 @@ class _Joinability:
             for q in comp:
                 m |= 1 << q
             for q in comp:
-                for t in d.trans[q]:
-                    if t != -1:
-                        m |= reach[t]
+                for t in succ[q]:
+                    m |= reach[t]
             for q in comp:
                 reach[q] = m
         self.reach = reach
@@ -277,7 +272,8 @@ def is_irreducible(x: Shift) -> Decision:
 
 
 def synchronizing_word(x: Shift) -> SyncWitness:
-    """Shortest word focusing the minimal follower automaton to one state.
+    """Shortest word focusing the whole minimal follower automaton to one
+    state, for any shift.
 
     Runs that die along the way drop out; the witness requires only that
     all surviving runs end together.  Ties break toward the
@@ -301,37 +297,44 @@ def _sync_fail(x: Shift):
 
 def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
                                           SyncWitness]:
-    """The strongly connected component of the sync target, as a graph.
+    """The synchronized cover of an irreducible shift: the sink component
+    of its acceptor, as a graph.
 
-    Returns (cover, original automaton state ids as a tuple, sync witness
-    recomputed inside the cover).  For an irreducible shift the cover
-    presents the same language, strongly connected and right-resolving;
-    diameters and cycle gcds are measured on it.  Memoised on ``x``, so the
-    results are shared and immutable.
+    Returns (cover, original automaton state ids as a tuple, shortest
+    synchronizing word of the cover).  The cover presents the same
+    language, strongly connected and right-resolving; diameters and cycle
+    gcds are measured on it.  Raises NoSyncWord unless the shift is
+    nonempty and irreducible.  Memoised on ``x``, so the results are shared
+    and immutable.
     """
     return x.derived("cover", _synchronized_cover)
 
 
 def _synchronized_cover(x: Shift):
-    w = synchronizing_word(x)
-    comp = next(c for c in _condensation(x) if w.vertex in c)
-    cover, old = subgraph(x.acceptor_graph, comp)
-    res = shortest_sync(transition_rows(cover), range(cover.n_vertices),
-                        len(x.alphabet))
+    if x.is_empty or not is_irreducible(x).verdict:
+        raise NoSyncWord("the synchronized cover needs a nonempty "
+                         "irreducible shift")
+    comp, trans = _condensation(x)[0], x.acceptor.trans
+    # no move leaves the sink, so the search reads the acceptor's table
+    res = shortest_sync(trans, comp, len(x.alphabet))
     if res is None:
         return _sync_fail(x)
-    ranks, q_local = res
-    inner = SyncWitness(x.alphabet.word_from_ranks(ranks), old[q_local],
-                        len(ranks))
-    return cover, tuple(old), inner
+    ranks, q = res
+    pos = {v: i for i, v in enumerate(comp)}
+    cover = LabeledGraph(x.alphabet, len(comp), tuple(
+        (pos[v], pos[t], a) for v in comp
+        for a, t in enumerate(trans[v]) if t != -1))
+    return cover, tuple(comp), SyncWitness(
+        x.alphabet.word_from_ranks(ranks), q, len(ranks))
 
 
 def is_mixing(x: Shift) -> MixingReport:
-    """Irreducible with aperiodic synchronized component.
+    """Irreducible with aperiodic synchronized cover.
 
-    ``cycle_gcd`` is the gcd of cycle lengths through the sync target's
-    strongly connected component; mixing holds iff the shift is irreducible
-    and that gcd is 1.  Memoised on ``x``.
+    ``cycle_gcd`` is the gcd of the cycle lengths of the synchronized
+    cover, and 0 when the shift is not irreducible (it then has no cover);
+    mixing holds iff the shift is irreducible and that gcd is 1.  Memoised
+    on ``x``.
     """
     return x.derived("mixing", _mixing)
 
@@ -341,15 +344,11 @@ def _mixing(x: Shift) -> MixingReport:
         return MixingReport(True, 0, True,
                             note="empty shift: holds vacuously")
     irr = is_irreducible(x)
-    try:
-        cover, old, _ = synchronized_cover(x)
-        g = cycle_gcd(cover)
-    except NoSyncWord:
-        return MixingReport(False, 0, False, witness=irr.witness,
-                            note="no synchronizing word")
     if not irr.verdict:
-        return MixingReport(False, g, False, witness=irr.witness,
+        return MixingReport(False, 0, False, witness=irr.witness,
                             note="not irreducible")
+    cover, old, _ = synchronized_cover(x)
+    g = cycle_gcd(cover)
     if g == 1:
         return MixingReport(True, 1, True)
     classes = _period_classes(cover, old, g)
@@ -387,8 +386,8 @@ def _certificate(x: Shift) -> SiCertificate:
     if s == -1:
         raise NoSyncWord("sync word left the language; presentation bug")
     r_mask = _reading_states_mask(d, ranks)
-    post_all = _post_all_masks(d)
-    n0, bad = _eventual_tail(1 << s, lambda m: _step_mask(m, post_all),
+    succ = _successors(x)
+    n0, bad = _eventual_tail(1 << s, lambda m: _step_mask(m, succ),
                              lambda m: not m & r_mask, _GAP_CAP,
                              "gap evolution")
     # the orbit closed within _GAP_CAP steps, so n0 <= _GAP_CAP
@@ -429,7 +428,7 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     data = _joinability(x)
     # rows[s] = states reached from s by words of the current length; one
     # more letter ORs the rows of the successors of s
-    succ = [sorted({t for t in row if t != -1}) for row in x.acceptor.trans]
+    succ = _successors(x)
 
     def failing(step: tuple) -> tuple[int, tuple[int, ...]] | None:
         for s, m in enumerate(step):
@@ -471,17 +470,15 @@ def gap_witness(x: Shift, u, v, gap: int) -> Word | None:
     v_ranks = v.ranks()
     if not d.defined(v_ranks):
         raise WordNotInLanguage(f"{v.text!r} is not in the language")
-    r_mask = _reading_states_mask(d, v_ranks)
-    # backward feasibility layers: states that can still reach r_mask
-    pre_all = [0] * d.n_states
-    for q, row in enumerate(d.trans):
-        for t in row:
-            if t != -1:
-                pre_all[t] |= 1 << q
+    succ = _successors(x)
+    # backward feasibility layers: states that can still reach the states
+    # reading v; a state is feasible when one of its successors is
     feasible = [0] * (gap + 1)
-    feasible[gap] = r_mask
+    feasible[gap] = _reading_states_mask(d, v_ranks)
     for i in range(gap - 1, -1, -1):
-        feasible[i] = _step_mask(feasible[i + 1], pre_all)
+        nxt = feasible[i + 1]
+        feasible[i] = sum(1 << q for q, ts in enumerate(succ)
+                          if any(nxt >> t & 1 for t in ts))
     if not feasible[0] & (1 << s):
         return None
     out = []

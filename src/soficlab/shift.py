@@ -10,10 +10,10 @@ objects: an essential presentation, and the minimal acceptor of the block
 language from one subset construction (Lind & Marcus, *Symbolic Dynamics
 and Coding*, 3.3-3.4); every query runs against these.  Everything else
 is derived and memoised on the instance on first use, see
-:meth:`Memo.derived`: the acceptor as a graph and its essential part (the
-past-determined presentation the map layer reads on every domain),
-irreducibility data, synchronized cover, mixing report, gap certificate
-and spectral entropy.
+:meth:`Memo.derived`: the essential part of the acceptor (the
+past-determined presentation the map layer reads on every domain), the
+acceptor's successor table, irreducibility data, synchronized cover,
+mixing report, gap certificate and spectral entropy.
 """
 
 from __future__ import annotations
@@ -160,8 +160,9 @@ class Shift(Memo):
         empty word.
 
     ``essential`` and ``acceptor`` are built at construction; everything
-    else, :attr:`acceptor_graph` and :attr:`deterministic` included, is
-    derived and memoised on first use (:meth:`derived`).
+    else, :attr:`deterministic` included, is derived and memoised on first
+    use (:meth:`derived`).  The invariants read the acceptor's table
+    directly; only :attr:`deterministic` makes a graph of it.
     """
 
     __slots__ = ("alphabet", "kind", "origin", "essential", "acceptor",
@@ -192,14 +193,8 @@ class Shift(Memo):
         return cls(g, "sofic", g)
 
     @property
-    def acceptor_graph(self) -> LabeledGraph:
-        """The acceptor as a labeled graph, memoised."""
-        return self.derived("acceptor_graph",
-                            lambda x: _dfa.to_graph(x.acceptor))
-
-    @property
     def deterministic(self) -> LabeledGraph:
-        """Essential part of the acceptor graph, memoised (empty for the
+        """Essential part of the acceptor as a graph, memoised (empty for the
         empty shift): the presentation the pair graph reads on every
         domain.
 
@@ -213,8 +208,8 @@ class Shift(Memo):
         than the follower reduction of an essential graph: the even shift's
         has a third state, reached by the past 1^inf, whose parity is open.
         """
-        return self.derived("deterministic",
-                            lambda x: essentialize(x.acceptor_graph)[0])
+        return self.derived("deterministic", lambda x: essentialize(
+            _dfa.to_graph(x.acceptor))[0])
 
     @property
     def is_empty(self) -> bool:

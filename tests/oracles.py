@@ -10,11 +10,12 @@ vectorised preimages, product automata, matrix counting, an Aho-Corasick
 matcher, Moore refinement, one-sided peels and per-symbol gathers), with
 one exception: the equal-label vertex pairs of :func:`common_extension`
 are found by a count-down peel, the idea of the one-sided peels, run on
-pairs of the origin graph, which the package never builds.  The
-gap oracles still read membership through the minimal acceptor;
-:func:`origin_contains`, and the word lists and block counts built on it,
-read only the description the shift was built from, so they also check
-canonicalization itself.
+pairs of the origin graph, which the package never builds.  The gap
+oracles :func:`minimal_gap_bruteforce`, :func:`gap_failure_pair` and the
+layers under them still read membership through the minimal acceptor;
+:func:`origin_contains`, and the word lists, block counts and
+:func:`fill_exists` built on it, read only the description the shift was
+built from, so they also check canonicalization itself.
 """
 
 from __future__ import annotations
@@ -259,10 +260,11 @@ def block_counts_by_extension(x, n_max):
 
 
 def fill_exists(x, u, v, n):
-    """Direct enumeration: some w of length n with u+w+v in the language."""
-    syms = x.alphabet.symbols
-    return any(x.contains_word(u + "".join(w) + v)
-               for w in itertools.product(syms, repeat=n))
+    """Direct enumeration: some w of length n with u+w+v in the language,
+    read from ``x.origin`` (never the acceptor)."""
+    u, v = x.word(u).ranks(), x.word(v).ranks()
+    return any(origin_contains(x, u + w + v) for w in
+               itertools.product(range(len(x.alphabet)), repeat=n))
 
 
 def _layer_feasible(x, u, v, probe):

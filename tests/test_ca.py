@@ -738,6 +738,19 @@ class TestComputedOncePerRule:
         assert len(rep.instances) == 1
         assert calls == {"determinize": 1, "follower_reduce": 0}
 
+    def test_corpus_builds_one_gap_certificate(self, monkeypatch):
+        # the domain's certificate measures its cover's diameter; the image
+        # column reads the image's mixing verdict, which needs no diameter.
+        # A fresh domain, so no certificate memoised by an earlier test
+        # hides the domain's
+        import soficlab.props as props
+
+        x = Shift.from_forbidden(Alphabet(("0", "1")), ())
+        calls = self._count(monkeypatch, props, ("directed_diameter",))
+        rep = run_corpus(x, 1, 42, (0, 2))
+        assert len(rep.instances) == 1 and rep.instances[0].image_si
+        assert calls == {"directed_diameter": 1}
+
     def test_shift_analyze_derives_no_reduced_presentation(
             self, monkeypatch, capsys, tmp_path):
         from soficlab.cli import main

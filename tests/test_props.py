@@ -3,15 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (fill_exists, gap_failure_pair, minimal_gap_bruteforce,
                      words_up_to)
 from soficlab import (CapExceeded, ConfigurationWindow, EmptyShift,
-                      GlueRequest, MixingReport, NotMixing,
-                      SeparationTooSmall, Shift, SiCertificate, Alphabet,
-                      gap_witness, glue, higher_block, is_irreducible,
-                      is_mixing, is_strongly_irreducible, minimal_gap,
-                      si_certificate, synchronized_cover, synchronizing_word)
+                      GlueRequest, LabeledGraph, MixingReport, NoSyncWord,
+                      NotMixing, SeparationTooSmall, Shift, SiCertificate,
+                      Alphabet, gap_witness, glue, higher_block,
+                      is_irreducible, is_mixing, is_strongly_irreducible,
+                      minimal_gap, si_certificate, synchronized_cover,
+                      synchronizing_word)
 
 BITS = Alphabet(("0", "1"))
 
@@ -56,6 +59,10 @@ class TestMixing:
     def test_not_irreducible_implies_not_mixing(self, twopoint):
         rep = is_mixing(twopoint)
         assert not rep.irreducible and not rep.mixing
+        # a reducible shift has no synchronized cover, so no cycle gcd
+        assert rep.cycle_gcd == 0 and rep.note == "not irreducible"
+        with pytest.raises(NoSyncWord):
+            synchronized_cover(twopoint)
 
 
 class TestSynchronizingWord:
@@ -295,6 +302,66 @@ class TestSynchronizedCover:
         assert len(ends) == 1
 
 
+@st.composite
+def graph_shift_unions(draw):
+    """The disjoint union of one or two graphs drawn like the benchmark's
+    graph files, smaller: 2-3 letters, 3-8 vertices each, a spanning cycle
+    plus up to two further out-edges per vertex.  A bare cycle is
+    periodic, and a union of two is often reducible."""
+    k = draw(st.integers(2, 3))
+    label = st.integers(0, k - 1)
+    edges, n_total = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(3, 8))
+        edges += [(n_total + v, n_total + (v + 1) % n, draw(label))
+                  for v in range(n)]
+        for v in range(n):
+            edges += [(n_total + v, n_total + draw(st.integers(0, n - 1)),
+                       draw(label)) for _ in range(draw(st.integers(0, 2)))]
+        n_total += n
+    alphabet = Alphabet(tuple(str(a) for a in range(k)))
+    return Shift.from_graph(LabeledGraph(alphabet, n_total, tuple(edges)))
+
+
+def _component_of(trans, v):
+    """The states of a partial table that reach ``v`` and that ``v``
+    reaches: one forward search from ``v`` and one from each state it
+    reaches."""
+    def reach(s):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in trans[todo.pop()]:
+                if t != -1 and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+    ahead = reach(v)
+    return sorted(q for q in ahead if v in reach(q))
+
+
+class TestCoverIsTheSinkComponent:
+    """The cover is the acceptor's sink component, found without the
+    whole-acceptor sync search; it agrees with that search on every
+    irreducible shift, and a shift that is not irreducible has no cover."""
+
+    @given(graph_shift_unions())
+    @settings(max_examples=300, deadline=None)
+    def test_cover_agrees_with_whole_acceptor_search(self, x):
+        if is_irreducible(x).verdict:
+            cover, old, sync = synchronized_cover(x)
+            whole = synchronizing_word(x)
+            assert list(old) == _component_of(x.acceptor.trans, whole.vertex)
+            assert cover.n_vertices == len(old)
+            assert sync == whole
+        else:
+            rep = is_mixing(x)
+            assert (rep.irreducible, rep.cycle_gcd, rep.mixing) == (
+                False, 0, False)
+            assert rep.note == "not irreducible"
+            with pytest.raises(NoSyncWord):
+                synchronized_cover(x)
+
+
 class TestComputedOncePerShift:
     """One ``shift analyze`` builds each derived invariant once, however many
     verdicts read it."""
@@ -308,7 +375,7 @@ class TestComputedOncePerShift:
         from soficlab.cli import main
         from soficlab.graph import strongly_connected_components as scc
 
-        calls = {"backward_subsets": 0, "subgraph": 0, "to_graph": 0,
+        calls = {"backward_subsets": 0, "shortest_sync": 0, "to_graph": 0,
                  "scc": 0}
 
         def counted(name, fn):
@@ -317,9 +384,10 @@ class TestComputedOncePerShift:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # in props, subgraph only cuts the synchronized cover out of the
-        # acceptor graph; the shift graphs its acceptor through dfa.to_graph
-        for name in ("backward_subsets", "subgraph"):
+        # the invariants read the acceptor's table, so no graph of the
+        # acceptor is built (the shift makes one only through dfa.to_graph),
+        # and the cover's sync search is the only one
+        for name in ("backward_subsets", "shortest_sync"):
             monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
         monkeypatch.setattr(dfa, "to_graph", counted("to_graph", dfa.to_graph))
         # every package module that imported the condensation pass
@@ -334,5 +402,5 @@ class TestComputedOncePerShift:
         assert main(["shift", "analyze", str(path),
                      "--minimal-gap", "64"]) == 0
         assert "#: minimal_gap" in capsys.readouterr().out
-        assert calls == {"backward_subsets": 1, "subgraph": 1, "to_graph": 1,
-                         "scc": 1}
+        assert calls == {"backward_subsets": 1, "shortest_sync": 1,
+                         "to_graph": 0, "scc": 1}
