@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                              parser_class=_Parser)
     pa = subs.add_parser("analyze", help="verdicts, certificate, entropy")
     pa.add_argument("shift", help="path to a .shift file, or a bundled name")
-    pa.add_argument("--minimal-gap", type=int, default=None, metavar="CAP",
+    pa.add_argument("--minimal-gap", type=_bounded(int, 0), default=None,
+                    metavar="CAP",
                     help="also compute the exact least uniform gap, "
                          "searching up to CAP")
     pa.add_argument("--table", type=_bounded(int, 0), default=0, metavar="N",
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("corpus", help="seeded random endomorphism suites")
     pk.add_argument("--shift", action="append", default=None,
                     help="shift file or bundled name; repeatable")
-    pk.add_argument("--count", type=int, default=50)
+    pk.add_argument("--count", type=_bounded(int, 0), default=50)
     pk.add_argument("--seed", type=int, default=0)
     pk.add_argument("--memory", type=_interval, default="0..1",
                     metavar="L..R")

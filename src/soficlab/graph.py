@@ -11,8 +11,6 @@ old-vertex maps) and never mutates its input.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 from .base import Alphabet
@@ -173,36 +171,6 @@ def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
                         break
                 comps.append(sorted(comp))
     return comps
-
-
-def bfs_levels(adj: list[list[tuple[int, int]]], start: int) -> list[int]:
-    """Shortest path length from ``start`` to each vertex, -1 where
-    unreachable; ``adj`` is an :meth:`LabeledGraph.out_map`."""
-    lvl = [-1] * len(adj)
-    lvl[start] = 0
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for w, _ in adj[v]:
-            if lvl[w] == -1:
-                lvl[w] = lvl[v] + 1
-                q.append(w)
-    return lvl
-
-
-def cycle_gcd(g: LabeledGraph) -> int:
-    """gcd of all cycle lengths of a strongly connected graph (its period).
-
-    Returns 0 when the graph has no edges at all.
-    """
-    if not g.edges:
-        return 0
-    lvl = bfs_levels(g.out_map(), g.edges[0][0])
-    val = 0
-    for s, d, _ in g.edges:
-        if lvl[s] != -1 and lvl[d] != -1:
-            val = math.gcd(val, lvl[s] + 1 - lvl[d])
-    return abs(val)
 
 
 def successor_rows(rows, succ) -> tuple[int, ...]:

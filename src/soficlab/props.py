@@ -3,10 +3,16 @@
 The decision procedures run on one canonical object built by Shift: the
 minimal acceptor, read both for language-level questions (does some word
 connect u to v) and for structural ones (synchronizing words, the
-synchronized cover, its diameter and cycle gcd).  For an irreducible shift
-the follower sets of its synchronizing words are the acceptor's unique
-sink component, which every state reaches (Lind & Marcus, *Symbolic
-Dynamics and Coding*, 3.3), so that component is the synchronized cover.
+synchronized cover, its diameter and period).  No move leaves the
+acceptor's sink component (the first component of its condensation), so
+the sink presents an irreducible shift inside x.  A nonempty shift is
+irreducible iff the sink meets every backward reading set, that is iff it
+presents every word; there is no closure over the other states.  When it
+misses the states reading v, no word joins a word u leading into the sink
+to v.  For an irreducible shift the follower sets of its synchronizing
+words are that sink, which every state reaches (Lind & Marcus, *Symbolic
+Dynamics and Coding*, 3.3), so the sink is the synchronized cover; its
+period and period classes come from one breadth-first search inside it.
 
 Uniform-gap questions quantify over infinitely many word pairs and gap
 lengths; both quantifiers are made finite here.  Word pairs matter only
@@ -17,11 +23,11 @@ periodic; detecting the cycle turns "for all N >= N0" into an exact check.
 Each invariant is computed once per Shift and memoised on it (see
 :meth:`Memo.derived`): the acceptor's successor table, which every pass
 over its moves reads, its condensation (strongly connected components,
-which the reach closure, the synchronized cover and spectral entropy read),
-the joinability data (reach closure, backward family, state labels), the
-synchronized cover, the mixing report and the gap certificate.  All state
-sets are bitmasks.  The reach closure takes one pass over the condensation,
-sinks first; the backward family comes from vectorised preimages
+whose sink irreducibility, mixing, the synchronized cover and spectral
+entropy read), the joinability data (backward family and its minimal
+sets), the irreducibility verdict, the synchronized cover, the mixing
+report and the gap certificate.  All state sets are bitmasks.  The
+backward family comes from vectorised preimages
 (:func:`backward_subsets`).  The gap evolution ORs successor rows, one step
 per gap length, and tests each distinct row once, against the
 inclusion-minimal backward sets; only a row that misses one scans the
@@ -31,13 +37,14 @@ way (:func:`directed_diameter`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .base import ConfigurationWindow, Decision, Word
 from .dfa import FactorialDfa, backward_subsets, shortest_sync, shortest_words
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
-from .graph import (LabeledGraph, bfs_levels, cycle_gcd, directed_diameter,
+from .graph import (LabeledGraph, directed_diameter,
                     strongly_connected_components, successor_rows)
 from .shift import Shift
 
@@ -195,42 +202,25 @@ def _eventual_tail(state, step, failure, cap: int, what: str):
 class _Joinability:
     """Per-shift data behind every "does some word join u to v" question.
 
-    ``reach[s]`` is the reflexive-transitive closure of the acceptor from
-    state s, as a bitmask, computed in one pass over the condensation;
     ``family`` pairs each backward reading set (as a bitmask) with its
-    shortest representative word; ``labels[s]`` is the shortest word
-    reaching s.  :meth:`miss` answers "which backward set does this mask
-    miss" once per distinct mask.  It first tests the mask against the
-    inclusion-minimal sets of the family (``minimal``): every set contains
-    a minimal one, so a mask that meets them all meets every set.  Only a
-    failing mask scans the family in order for its first missed set.
+    shortest representative word.  :meth:`miss` answers "which backward
+    set does this mask miss" once per distinct mask.  It first tests the
+    mask against the inclusion-minimal sets of the family (``minimal``):
+    every set contains a minimal one, so a mask that meets them all meets
+    every set.  Only a failing mask scans the family in order for its
+    first missed set.
     """
 
-    __slots__ = ("reach", "family", "minimal", "labels", "_misses")
+    __slots__ = ("family", "minimal", "_misses")
 
     def __init__(self, x: Shift):
-        d, succ = x.acceptor, _successors(x)
-        # components come sinks first, so every successor outside a
-        # component already has its reach when the component is closed
-        reach = [0] * d.n_states
-        for comp in _condensation(x):
-            m = 0
-            for q in comp:
-                m |= 1 << q
-            for q in comp:
-                for t in succ[q]:
-                    m |= reach[t]
-            for q in comp:
-                reach[q] = m
-        self.reach = reach
-        self.family = backward_subsets(d)
+        self.family = backward_subsets(x.acceptor)
         # by size, so a set is kept unless a smaller kept set lies inside it
         minimal: list[int] = []
         for r in sorted((r for r, _ in self.family), key=int.bit_count):
             if all(k & ~r for k in minimal):
                 minimal.append(r)
         self.minimal = minimal
-        self.labels = shortest_words(d.trans)
         self._misses: dict[int, tuple[int, ...] | None] = {}
 
     def miss(self, mask: int) -> tuple[int, ...] | None:
@@ -254,21 +244,30 @@ def is_irreducible(x: Shift) -> Decision:
     """Can every ordered pair of language words be joined: for all u, v is
     there some w with uwv in the language?
 
-    The pair (u, v) matters only through (state after u, set of states
-    reading v), so the check quantifies over states and the backward
-    subset family.  On failure the witness is a concrete unjoinable pair.
+    The acceptor's sink component presents an irreducible shift inside x,
+    so x is irreducible iff the sink meets every backward reading set.
+    Otherwise the witness is a concrete unjoinable pair: u is the
+    (length, lex)-least word leading into the sink, and v the word of the
+    first backward set (family order) that misses the sink; every run
+    after u stays in the sink, where no state reads v.  Memoised on ``x``.
     """
+    return x.derived("irreducible", _irreducible)
+
+
+def _irreducible(x: Shift) -> Decision:
     if x.is_empty:
         return Decision(True, None, "language",
                         note="empty shift: holds vacuously")
-    data = _joinability(x)
-    for s, m in enumerate(data.reach):
-        v = data.miss(m)
-        if v is not None:
-            u = x.alphabet.word_from_ranks(data.labels[s])
-            return Decision(False, (u, x.alphabet.word_from_ranks(v)),
-                            "language", note="no word joins u to v")
-    return Decision(True, None, "language")
+    sink = sum(1 << q for q in _condensation(x)[0])
+    v = _joinability(x).miss(sink)
+    if v is None:
+        return Decision(True, None, "language")
+    # shortest_words keys the states in the (length, lex) order of words
+    u = next(w for q, w in shortest_words(x.acceptor.trans).items()
+             if sink >> q & 1)
+    return Decision(False, (x.alphabet.word_from_ranks(u),
+                            x.alphabet.word_from_ranks(v)),
+                    "language", note="no word joins u to v")
 
 
 def synchronizing_word(x: Shift) -> SyncWitness:
@@ -302,8 +301,8 @@ def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
 
     Returns (cover, original automaton state ids as a tuple, shortest
     synchronizing word of the cover).  The cover presents the same
-    language, strongly connected and right-resolving; diameters and cycle
-    gcds are measured on it.  Raises NoSyncWord unless the shift is
+    language, strongly connected and right-resolving; the certificate's
+    diameter is measured on it.  Raises NoSyncWord unless the shift is
     nonempty and irreducible.  Memoised on ``x``, so the results are shared
     and immutable.
     """
@@ -332,9 +331,12 @@ def is_mixing(x: Shift) -> MixingReport:
     """Irreducible with aperiodic synchronized cover.
 
     ``cycle_gcd`` is the gcd of the cycle lengths of the synchronized
-    cover, and 0 when the shift is not irreducible (it then has no cover);
-    mixing holds iff the shift is irreducible and that gcd is 1.  Memoised
-    on ``x``.
+    cover, the acceptor's sink component, and 0 when the shift is not
+    irreducible (it then has no cover); mixing holds iff the shift is
+    irreducible and that gcd is 1.  Otherwise the witness splits the sink's
+    states into period classes by path-length residue.  Both come from one
+    breadth-first search in the sink, with no sync search and no cover
+    graph.  Memoised on ``x``.
     """
     return x.derived("mixing", _mixing)
 
@@ -347,23 +349,23 @@ def _mixing(x: Shift) -> MixingReport:
     if not irr.verdict:
         return MixingReport(False, 0, False, witness=irr.witness,
                             note="not irreducible")
-    cover, old, _ = synchronized_cover(x)
-    g = cycle_gcd(cover)
+    sink, succ = _condensation(x)[0], _successors(x)
+    # levels from the sink's least state; no move leaves the sink, and the
+    # period is the gcd of lvl[q] + 1 - lvl[t] over its moves q -> t
+    lvl, order, g = {sink[0]: 0}, [sink[0]], 0
+    for q in order:
+        for t in succ[q]:
+            if t not in lvl:
+                lvl[t] = lvl[q] + 1
+                order.append(t)
+            g = math.gcd(g, lvl[q] + 1 - lvl[t])
     if g == 1:
         return MixingReport(True, 1, True)
-    classes = _period_classes(cover, old, g)
-    return MixingReport(True, g, False, witness=classes,
-                        note=f"period {g}")
-
-
-def _period_classes(cover: LabeledGraph, old: tuple[int, ...], g: int
-                    ) -> tuple[tuple[int, ...], ...]:
-    """Vertices of the cover split by path-length residue mod the period."""
-    lvl = bfs_levels(cover.out_map(), 0)
     classes: list[list[int]] = [[] for _ in range(g)]
-    for v in range(cover.n_vertices):
-        classes[lvl[v] % g].append(old[v])
-    return tuple(map(tuple, classes))
+    for q in sink:
+        classes[lvl[q] % g].append(q)
+    return MixingReport(True, g, False, witness=tuple(map(tuple, classes)),
+                        note=f"period {g}")
 
 
 def si_certificate(x: Shift) -> SiCertificate:
@@ -443,7 +445,7 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
                              hard_cap, "joint gap evolution")
     if bad is not None:
         t, (s, v), period = bad
-        u = x.alphabet.word_from_ranks(data.labels[s])
+        u = x.alphabet.word_from_ranks(shortest_words(x.acceptor.trans)[s])
         raise NotMixing(
             f"no uniform gap: u={u.text!r} cannot reach "
             f"v={x.alphabet.word_from_ranks(v).text!r} at gap {t} "

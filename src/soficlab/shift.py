@@ -12,8 +12,10 @@ and Coding*, 3.3-3.4); every query runs against these.  Everything else
 is derived and memoised on the instance on first use, see
 :meth:`Memo.derived`: the essential part of the acceptor (the
 past-determined presentation the map layer reads on every domain), the
-acceptor's successor table, irreducibility data, synchronized cover,
-mixing report, gap certificate and spectral entropy.
+acceptor's successor table and condensation, whose sink component decides
+irreducibility and the period, the backward family, the irreducibility
+verdict, synchronized cover, mixing report, gap certificate and spectral
+entropy.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
 """Reference implementations used to check the package's answers.
 
 Everything here favors transparency over speed: explicit word enumeration,
-per-pair set reachability, direct preimage search, frozenset closures and
-one breadth-first search per source, a suffix scan over the forbidden
-words, Myhill-Nerode table filling, a two-sided degree peel closed
-backwards, and dense power iteration.  None of it shares algorithmic
-machinery with the code under test (which uses joint bitmask evolution,
-vectorised preimages, product automata, matrix counting, an Aho-Corasick
-matcher, Moore refinement, one-sided peels and per-symbol gathers), with
-one exception: the equal-label vertex pairs of :func:`common_extension`
+per-pair and per-state set reachability, closed walks counted length by
+length, direct preimage search, frozenset closures and one breadth-first
+search per source, a suffix scan over the forbidden words, Myhill-Nerode
+table filling, a two-sided degree peel closed backwards, and dense power
+iteration.  None of it shares algorithmic machinery with the code under
+test (which uses joint bitmask evolution, vectorised preimages, product
+automata, matrix counting, an Aho-Corasick matcher, Moore refinement,
+one-sided peels and per-symbol gathers), with one exception: the equal-label vertex pairs of :func:`common_extension`
 are found by a count-down peel, the idea of the one-sided peels, run on
 pairs of the origin graph, which the package never builds.  The gap
 oracles :func:`minimal_gap_bruteforce`, :func:`gap_failure_pair` and the
-layers under them still read membership through the minimal acceptor;
+layers under them, and the reach oracles :func:`irreducible_by_reach`,
+:func:`unjoinable` and :func:`sink_period`, read the minimal acceptor;
 :func:`origin_contains`, and the word lists, block counts and
 :func:`fill_exists` built on it, read only the description the shift was
 built from, so they also check canonicalization itself.
@@ -419,6 +420,53 @@ def backward_family(d):
                 seen.add(prev)
                 family.append((prev, (a,) + v))
     return family
+
+
+def reachable_states(x, s):
+    """States of ``x.acceptor`` reachable from state ``s``, ``s`` included,
+    by a plain depth-first search."""
+    trans = x.acceptor.trans
+    seen, todo = {s}, [s]
+    while todo:
+        for t in trans[todo.pop()]:
+            if t != -1 and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def irreducible_by_reach(x):
+    """Irreducibility read from per-state reach: the states reachable from
+    every state meet every set of :func:`backward_family`.  A word u ends
+    at some state, and some fill joins it to v exactly when that state
+    reaches a state reading v."""
+    family = backward_family(x.acceptor)
+    return all(not fs.isdisjoint(reachable_states(x, s))
+               for s in range(x.acceptor.n_states) for fs, _ in family)
+
+
+def unjoinable(x, u, v):
+    """No state reachable after the word ``u`` reads the word ``v``."""
+    return reachable_states(x, _end_state(x, u)).isdisjoint(
+        _reader_states(x, v))
+
+
+def sink_period(x):
+    """(sink, period) of an irreducible shift's acceptor: the states that
+    every state reaches, and the gcd of the lengths of the closed walks
+    inside them.  Every simple cycle of the sink is at most as long as the
+    sink is large, so lengths up to that size decide the gcd."""
+    trans = x.acceptor.trans
+    sink = set.intersection(*(reachable_states(x, s)
+                              for s in range(x.acceptor.n_states)))
+    ends = {q: {q} for q in sink}  # ends of the walks of length n from q
+    g = 0
+    for n in range(1, len(sink) + 1):
+        ends = {q: {t for p in ps for t in trans[p] if t != -1}
+                for q, ps in ends.items()}
+        if any(q in ps for q, ps in ends.items()):
+            g = math.gcd(g, n)
+    return frozenset(sink), g
 
 
 def first_missed(family, mask):

@@ -334,6 +334,7 @@ class TestCliContract:
         "shift analyze golden --n-max 1",
         "shift analyze golden --tol 0",
         "shift analyze golden --table -1",
+        "shift analyze golden --minimal-gap -3",
         "shift entropy golden --n-max 0",
         "shift entropy golden --tol nan",
         "ca analyze full2 xor --tol -1",
@@ -343,6 +344,7 @@ class TestCliContract:
         "shift analyze golden --n-max x",
         "corpus --shift full2 --count 2 --memory 2..0",
         "corpus --shift full2 --count 2 --memory banana",
+        "corpus --shift full2 --count -3",
     ])
     def test_bad_argument_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as ei:

@@ -29,7 +29,7 @@ from soficlab.shift import SftSpec, sft_to_graph
 from oracles import (_sft_steps, backward_family, common_extension,
                      core_by_two_sided_peel, diameter_by_bfs, first_missed,
                      nerode_classes, origin_contains, reach_core_by_closure,
-                     sft_graph_by_suffix_scan)
+                     reachable_states, sft_graph_by_suffix_scan)
 
 _ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
 _MAX_LEN = {2: 6, 3: 4}  # longest word checked exhaustively
@@ -326,8 +326,9 @@ class TestJoinabilityKernels:
         masks = [0, full, *(full & ~sum(1 << q for q in fs)
                             for fs, _ in family)]
         masks += data.draw(st.lists(st.integers(0, full), max_size=20))
+        masks += [sum(1 << q for q in reachable_states(x, s))
+                  for s in range(x.acceptor.n_states)]
         j = _Joinability(x)
-        masks += j.reach
         for m in masks:
             assert j.miss(m) == first_missed(family, m), bin(m)
         assert j.miss(0) == ()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (fill_exists, gap_failure_pair, minimal_gap_bruteforce,
+from oracles import (fill_exists, gap_failure_pair, irreducible_by_reach,
+                     minimal_gap_bruteforce, sink_period, unjoinable,
                      words_up_to)
 from soficlab import (CapExceeded, ConfigurationWindow, EmptyShift,
                       GlueRequest, LabeledGraph, MixingReport, NoSyncWord,
@@ -323,6 +324,17 @@ def graph_shift_unions(draw):
     return Shift.from_graph(LabeledGraph(alphabet, n_total, tuple(edges)))
 
 
+@st.composite
+def small_sfts(draw):
+    """Up to five forbidden words of length 1-4 over 2-3 letters; forbidding
+    one switch between two letters leaves a reducible shift."""
+    k = draw(st.integers(2, 3))
+    letters = "012"[:k]
+    words = draw(st.lists(st.text(letters, min_size=1, max_size=4),
+                          max_size=5))
+    return Shift.from_forbidden(Alphabet(tuple(letters)), words)
+
+
 def _component_of(trans, v):
     """The states of a partial table that reach ``v`` and that ``v``
     reaches: one forward search from ``v`` and one from each state it
@@ -362,6 +374,44 @@ class TestCoverIsTheSinkComponent:
                 synchronized_cover(x)
 
 
+class TestSinkAgreesWithReachOracle:
+    """Irreducibility and the period read the acceptor's sink component;
+    the oracle closes the reach of every state and counts closed walks."""
+
+    @given(st.one_of(graph_shift_unions(), small_sfts()))
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_witnesses_and_period(self, x):
+        dec, rep = is_irreducible(x), is_mixing(x)
+        assert dec.verdict == rep.irreducible == irreducible_by_reach(x)
+        if not dec.verdict:
+            u, v = dec.witness
+            assert x.contains_word(u) and x.contains_word(v)
+            assert unjoinable(x, u, v)
+            return
+        if x.is_empty:
+            return
+        sink, g = sink_period(x)
+        assert (rep.cycle_gcd, rep.mixing) == (g, g == 1)
+        if g == 1:
+            return
+        # each move in the sink advances its period class by one
+        phase = {q: i for i, c in enumerate(rep.witness) for q in c}
+        assert len(rep.witness) == g and phase.keys() == sink
+        assert phase[min(sink)] == 0
+        for q in sink:
+            for t in x.acceptor.trans[q]:
+                if t != -1:
+                    assert phase[t] == (phase[q] + 1) % g
+
+
+def _counting(calls, name, fn):
+    """``fn``, adding one to ``calls[name]`` on each call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestComputedOncePerShift:
     """One ``shift analyze`` builds each derived invariant once, however many
     verdicts read it."""
@@ -378,24 +428,20 @@ class TestComputedOncePerShift:
         calls = {"backward_subsets": 0, "shortest_sync": 0, "to_graph": 0,
                  "scc": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         # the invariants read the acceptor's table, so no graph of the
         # acceptor is built (the shift makes one only through dfa.to_graph),
         # and the cover's sync search is the only one
         for name in ("backward_subsets", "shortest_sync"):
-            monkeypatch.setattr(props, name, counted(name, getattr(props, name)))
-        monkeypatch.setattr(dfa, "to_graph", counted("to_graph", dfa.to_graph))
+            monkeypatch.setattr(props, name,
+                                _counting(calls, name, getattr(props, name)))
+        monkeypatch.setattr(dfa, "to_graph",
+                            _counting(calls, "to_graph", dfa.to_graph))
         # every package module that imported the condensation pass
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("soficlab") and \
                     vars(mod).get("strongly_connected_components") is scc:
                 monkeypatch.setattr(mod, "strongly_connected_components",
-                                    counted("scc", scc))
+                                    _counting(calls, "scc", scc))
         path = tmp_path / "even.shift"
         path.write_text("alphabet: 0 1\ngraph:\nedge 0 0 0\nedge 0 1 1\n"
                         "edge 1 0 1\n")
@@ -404,3 +450,18 @@ class TestComputedOncePerShift:
         assert "#: minimal_gap" in capsys.readouterr().out
         assert calls == {"backward_subsets": 1, "shortest_sync": 1,
                          "to_graph": 0, "scc": 1}
+
+    def test_corpus_instance_runs_one_sync_search(self, monkeypatch):
+        # the domain's certificate is the only reader of the cover; the
+        # image's mixing verdict reads its acceptor's sink directly
+        import soficlab.props as props
+        from soficlab import run_corpus
+
+        calls = {"shortest_sync": 0, "LabeledGraph": 0}
+        for name in calls:
+            monkeypatch.setattr(props, name,
+                                _counting(calls, name, getattr(props, name)))
+        full2 = Shift.from_forbidden(BITS, ())
+        rep = run_corpus(full2, 1, 42, (0, 2))
+        assert rep.skipped == 0 and not rep.contradictions
+        assert calls == {"shortest_sync": 1, "LabeledGraph": 1}
