@@ -18,11 +18,12 @@ The image is built only for a question that needs it: surjectivity,
 entropy, image invariants; its graph also for the witness of a failed
 inclusion.
 
-Each (rule, domain) pair is analysed once: the pair graph, image graph,
-image and injectivity verdicts are cached on the rule under (name,
-domain), the image's inclusion in a target under (name, domain, target),
-shifts hashing by identity; window states and recodings, which depend on
-the width alone, on the domain under (name, presentation, width), graphs
+Each (rule, domain) pair is analysed once: the pair graph, the diamond
+search with the witnesses built from it, the image graph, image and
+injectivity verdicts are cached on the rule under (name, domain), the
+image's inclusion in a target under (name, domain, target), shifts
+hashing by identity; window states and recodings, which depend on the
+width alone, on the domain under (name, presentation, width), graphs
 hashing by value (:meth:`Memo.derived`).  They are shared by every later
 call, must not be mutated, and are freed with the rule or the domain.
 """
@@ -173,15 +174,52 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
     _check_source(t, x)
     if x.is_empty:
         return Decision(True, None, "point", note="empty domain")
-    pgr = pair_graph(t, x)
-    hit = _diamond_search(pgr)
+    hit = _asymptotic_pair(t, x)
     if hit is None:
         return Decision(True, None, "point")
-    wa, wb, img = _path_words(t, *hit)
-    wit = DiamondWitness(ConfigurationWindow(0, wa),
-                         ConfigurationWindow(0, wb), img)
-    return Decision(False, wit, "point",
+    return Decision(False, hit[0], "point",
                     note="distinct windows, equal images, common ends")
+
+
+@_per_domain
+def _asymptotic_pair(t: CellularAutomaton, x: Shift
+                     ) -> tuple[DiamondWitness, PointPairWitness] | None:
+    """The shortest diamond of :func:`_diamond_search`, as a window pair and
+    as two points, or None when there is none; memoised, so both
+    injectivity verdicts read one search.
+
+    The points extend the diamond on both sides.  On the left, both walk
+    one cycle of the recoding backwards along the diagonal: every window
+    state has an in-edge, as the recoding of an essential presentation is
+    essential.  On the right, the pair walks unflagged edges inside the
+    tail set, where every pair has one, until it closes a cycle.
+    """
+    pgr = pair_graph(t, x)
+    tail = _tail_pairs(pgr)
+    hit = _diamond_search(pgr, tail)
+    if hit is None:
+        return None
+    start, la, lb, end = hit
+    wa, wb, img = _path_words(t, la, lb)
+    diamond = DiamondWitness(ConfigurationWindow(0, wa),
+                             ConfigurationWindow(0, wb), img)
+    by_src, n = _recode(x, x.deterministic, t.width), pgr.n_base
+    into: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
+    for u, row in enumerate(by_src):
+        for v, b in row:
+            into[v].append(((b, b), u))
+
+    def right(pair: int) -> list[tuple[tuple[int, int], int]]:
+        p, q = divmod(pair, n)
+        return [((a, a), d1 * n + d2) for d1, a in by_src[p]
+                for d2, b in by_src[q] if a == b and tail[d1 * n + d2]]
+
+    # walked backwards, the left cycle opens the reversed path
+    back, left_period = _walk(start // n, into.__getitem__)
+    fwd, right_period = _walk(end, right)
+    labels = back[::-1] + list(zip(la, lb)) + fwd
+    wa, wb, img = _path_words(t, *zip(*labels))
+    return diamond, PointPairWitness(wa, wb, left_period, right_period, img)
 
 
 def _tail_pairs(pgr: PairGraph) -> list[bool]:
@@ -191,16 +229,15 @@ def _tail_pairs(pgr: PairGraph) -> list[bool]:
                                 [e for e in pgr.edges if not e[4]], 0, 1)
 
 
-def _diamond_search(pgr: PairGraph):
+def _diamond_search(pgr: PairGraph, tail: list[bool]):
     """Shortest pair path from the diagonal through a flagged edge to the
     tail set (:func:`_tail_pairs`), which holds the diagonal.
 
-    Returns the two label sequences, or None.  BFS over (pair, flag)
-    states; adjacency is pre-sorted by block labels, so among shortest
-    diamonds the label-lexicographically least is found.
+    Returns (first pair, the two label sequences, last pair), or None.
+    BFS over (pair, flag) states; adjacency is pre-sorted by block labels,
+    so among shortest diamonds the label-lexicographically least is found.
     """
     n = pgr.n_base
-    tail = _tail_pairs(pgr)
     adj: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(n * n)]
     for s, d, a, b, f in pgr.edges:
         adj[s].append((d, a, b, f))
@@ -225,10 +262,23 @@ def _diamond_search(pgr: PairGraph):
                         lb.append(eb)
                     la.reverse()
                     lb.reverse()
-                    return la, lb
+                    return cur // 2, la, lb, d
                 nxt.append(ns)
         frontier = nxt
     return None
+
+
+def _walk(v: int, steps) -> tuple[list[tuple[int, int]], int]:
+    """From ``v``, take the least of ``steps(v)``, pairs (labels, next
+    vertex), until a vertex repeats.  Returns the labels taken and the
+    length of the cycle the repeat closes: the period at that end."""
+    path, seen = [], {v: 0}
+    while True:
+        labels, v = min(steps(v))
+        path.append(labels)
+        if v in seen:
+            return path, len(path) - seen[v]
+        seen[v] = len(path)
 
 
 @_per_domain
@@ -238,53 +288,44 @@ def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
     Exact at point level for every domain: any two presentations of an
     equal-image pair trace a bi-infinite pair path, and distinctness forces
     a flagged edge on it; conversely a flagged edge on a bi-infinite pair
-    path projects to two distinct points with equal images.  So the test is
-    whether a flagged edge survives peeling the pair graph to its
-    bi-infinite core.
+    path projects to two distinct points with equal images.  A rule that is
+    not pre-injective is not injective, and its witness is the diamond's
+    two points (:func:`_asymptotic_pair`).  Only for a pre-injective rule
+    is the pair graph peeled to its bi-infinite core, where the test is
+    whether a flagged edge survives.
     """
     _check_source(t, x)
     if x.is_empty:
         return Decision(True, None, "point", note="empty domain")
-    pgr = pair_graph(t, x)
-    alive = core_vertices(pgr.n_pairs, pgr.edges)
-    alive_edges = [e for e in pgr.edges if alive[e[0]] and alive[e[1]]]
-    flagged = [e for e in alive_edges if e[4]]
-    if not flagged:
-        return Decision(True, None, "point")
-    e = flagged[0]
-    wit = _periodic_pair(pgr, alive_edges, e, t)
+    hit = _asymptotic_pair(t, x)
+    if hit is not None:
+        wit = hit[1]
+    else:
+        pgr = pair_graph(t, x)
+        alive = core_vertices(pgr.n_pairs, pgr.edges)
+        alive_edges = [e for e in pgr.edges if alive[e[0]] and alive[e[1]]]
+        flagged = [e for e in alive_edges if e[4]]
+        if not flagged:
+            return Decision(True, None, "point")
+        wit = _periodic_pair(alive_edges, flagged[0], t)
     return Decision(False, wit, "point",
                     note="two distinct points with equal images")
 
 
-def _periodic_pair(pgr: PairGraph, alive_edges, e,
-                   t: CellularAutomaton) -> PointPairWitness:
+def _periodic_pair(alive_edges, e, t: CellularAutomaton) -> PointPairWitness:
     """Assemble an eventually-periodic equal-image point pair through a
     flagged edge of the bi-infinite pair core."""
     into: dict[int, list] = {}
     outof: dict[int, list] = {}
     for ed in alive_edges:
-        outof.setdefault(ed[0], []).append(ed)
-        into.setdefault(ed[1], []).append(ed)
-
-    def walk(v: int, edges_at: dict, end: int):
-        """Follow least-labelled edges until a vertex repeats; the repeat
-        closes a cycle, whose length is the period at that end."""
-        path, order = [], [v]
-        while True:
-            ed = min(edges_at[v], key=lambda x_: (x_[2], x_[3]))
-            path.append(ed)
-            v = ed[end]
-            if v in order:
-                return path, len(order) - order.index(v)
-            order.append(v)
-
+        outof.setdefault(ed[0], []).append(((ed[2], ed[3]), ed[1]))
+        into.setdefault(ed[1], []).append(((ed[2], ed[3]), ed[0]))
     # walking backward, the cycle sits at the START of the reversed path,
     # so the word can be extended leftward with that period
-    back, left_period = walk(e[0], into, 0)
-    back.reverse()
-    fwd, right_period = walk(e[1], outof, 1)
-    wa, wb, img = _path_words(t, *zip(*(ed[2:4] for ed in back + [e] + fwd)))
+    back, left_period = _walk(e[0], into.__getitem__)
+    fwd, right_period = _walk(e[1], outof.__getitem__)
+    labels = back[::-1] + [(e[2], e[3])] + fwd
+    wa, wb, img = _path_words(t, *zip(*labels))
     return PointPairWitness(wa, wb, left_period, right_period, img)
 
 

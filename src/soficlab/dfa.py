@@ -90,22 +90,32 @@ def determinize(g: LabeledGraph, cap: int = _STATE_CAP) -> FactorialDfa:
 
     For an essential graph this accepts exactly the finite label words of
     paths, i.e. the language of the presented subshift.  An empty graph
-    yields the one-state acceptor of the empty-word-only language.
+    yields the one-state acceptor of the empty-word-only language.  Each
+    vertex set is a bitmask, and its successor under a symbol the OR of
+    its vertices' successor masks, built once per vertex and symbol.
     """
     na = len(g.alphabet)
     if g.n_vertices == 0:
         return FactorialDfa(g.alphabet, ((-1,) * na,))
-    post = _successors(g)
-    start = frozenset(range(g.n_vertices))
-    ids: dict[frozenset, int] = {start: 0}
+    # cols[a][v]: the mask of the a-successors of v
+    cols = [[sum(1 << t for t in ts) for ts in col]
+            for col in zip(*_successors(g))]
+    start = (1 << g.n_vertices) - 1
+    ids: dict[int, int] = {start: 0}
     order = [start]
     rows: list[list[int]] = []
     i = 0
     while i < len(order):
-        cur = order[i]
+        cur, members = order[i], []
+        while cur:
+            lsb = cur & -cur
+            members.append(lsb.bit_length() - 1)
+            cur ^= lsb
         row = [-1] * na
-        for a in range(na):
-            nxt = frozenset(t for v in cur for t in post[v][a])
+        for a, col in enumerate(cols):
+            nxt = 0
+            for v in members:
+                nxt |= col[v]
             if nxt:
                 if nxt not in ids:
                     if len(ids) >= cap:

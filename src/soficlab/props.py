@@ -1,18 +1,29 @@
 """Irreducibility, mixing, strong irreducibility, gap certificates, gluing.
 
-The decision procedures run on one canonical object built by Shift: the
-minimal acceptor, read both for language-level questions (does some word
-connect u to v) and for structural ones (synchronizing words, the
-synchronized cover, its diameter and period).  No move leaves the
-acceptor's sink component (the first component of its condensation), so
-the sink presents an irreducible shift inside x.  A nonempty shift is
-irreducible iff the sink meets every backward reading set, that is iff it
-presents every word; there is no closure over the other states.  When it
+Irreducibility and mixing are first read off the presentation a shift was
+built from.  A shift presented by a strongly connected graph is
+irreducible, and one presented by a strongly connected aperiodic graph is
+mixing: its edge shift is mixing, and a factor of a mixing shift is mixing
+(Lind & Marcus, *Symbolic Dynamics and Coding*, 4.5).  So when
+``x.essential`` is one strongly connected component, one pass over it (a
+component search, then one breadth-first search for its period) settles
+irreducibility, and mixing too when the period is 1.  The image of a full
+shift is presented by its recoding, a primitive de Bruijn graph.  The pass
+is tried only when the essential graph has at most as many vertices as the
+acceptor has states, so that it never costs much more than the acceptor's
+own pass; a vertex-per-block SFT graph can be a hundred times larger.
+
+Every other case, and every False verdict with its witness, reads the
+minimal acceptor.  No move leaves the acceptor's sink component (the first
+component of its condensation), so the sink presents an irreducible shift
+inside x.  A nonempty shift is irreducible iff the sink meets every
+backward reading set, that is iff it presents every word, as a sink of
+every state does; there is no closure over the other states.  When it
 misses the states reading v, no word joins a word u leading into the sink
 to v.  For an irreducible shift the follower sets of its synchronizing
-words are that sink, which every state reaches (Lind & Marcus, *Symbolic
-Dynamics and Coding*, 3.3), so the sink is the synchronized cover; its
-period and period classes come from one breadth-first search inside it.
+words are that sink, which every state reaches (Lind & Marcus, 3.3), so
+the sink is the synchronized cover; its period and period classes come
+from one breadth-first search inside it.
 
 Uniform-gap questions quantify over infinitely many word pairs and gap
 lengths; both quantifiers are made finite here.  Word pairs matter only
@@ -21,18 +32,18 @@ reachability data evolves through a finite space, so it is eventually
 periodic; detecting the cycle turns "for all N >= N0" into an exact check.
 
 Each invariant is computed once per Shift and memoised on it (see
-:meth:`Memo.derived`): the acceptor's successor table, which every pass
-over its moves reads, its condensation (strongly connected components,
-whose sink irreducibility, mixing, the synchronized cover and spectral
-entropy read), the joinability data (backward family and its minimal
-sets), the irreducibility verdict, the synchronized cover, the mixing
-report and the gap certificate.  All state sets are bitmasks.  The
-backward family comes from vectorised preimages
-(:func:`backward_subsets`).  The gap evolution ORs successor rows, one step
-per gap length, and tests each distinct row once, against the
-inclusion-minimal backward sets; only a row that misses one scans the
-family in order for its witness.  The cover diameter evolves rows the same
-way (:func:`directed_diameter`).
+:meth:`Memo.derived`): the period of the essential graph when it is
+strongly connected, the acceptor's successor table, which every pass over
+its moves reads, its condensation (strongly connected components, whose
+sink irreducibility, mixing, the synchronized cover and spectral entropy
+read), the joinability data (backward family and its minimal sets), the
+irreducibility verdict, the synchronized cover, the mixing report and the
+gap certificate.  All state sets are bitmasks.  The backward family comes
+from vectorised preimages (:func:`backward_subsets`).  The gap evolution
+ORs successor rows, one step per gap length, and tests each distinct row
+once, against the inclusion-minimal backward sets; only a row that misses
+one scans the family in order for its witness.  The cover diameter evolves
+rows the same way (:func:`directed_diameter`).
 """
 
 from __future__ import annotations
@@ -149,14 +160,43 @@ def _condensation(x: Shift) -> list[list[int]]:
         _successors(y)))
 
 
-def _step_mask(mask: int, succ: list[list[int]]) -> int:
-    """The states one move from those of ``mask``."""
+def _period_levels(succ, root: int) -> tuple[dict[int, int], int]:
+    """Breadth-first levels from ``root`` over the successor lists
+    ``succ``, and the gcd of lvl[q] + 1 - lvl[t] over the moves q -> t
+    read: the period of the strongly connected component of ``root`` when
+    no move leaves it."""
+    lvl, order, g = {root: 0}, [root], 0
+    for q in order:
+        for t in succ[q]:
+            if t not in lvl:
+                lvl[t] = lvl[q] + 1
+                order.append(t)
+            g = math.gcd(g, lvl[q] + 1 - lvl[t])
+    return lvl, g
+
+
+def _essential_period(x: Shift) -> int:
+    """The period of ``x.essential`` when it is one strongly connected
+    component, else 0; memoised on ``x``.  Also 0, with no pass over the
+    graph, when it has more vertices than the acceptor has states."""
+    def period(y: Shift) -> int:
+        g = y.essential
+        if g.n_vertices > y.acceptor.n_states:
+            return 0
+        succ = [sorted({d for d, _ in row}) for row in g.out_map()]
+        if len(strongly_connected_components(succ)) != 1:
+            return 0
+        return _period_levels(succ, 0)[1]
+    return x.derived("essential_period", period)
+
+
+def _step_mask(mask: int, rows: list[int]) -> int:
+    """The states one move from those of ``mask``, ``rows[q]`` the mask of
+    the successors of q."""
     out = 0
-    while mask:
-        lsb = mask & -mask
-        for t in succ[lsb.bit_length() - 1]:
-            out |= 1 << t
-        mask ^= lsb
+    for q, bit in enumerate(bin(mask)[:1:-1]):  # least significant first
+        if bit == "1":
+            out |= rows[q]
     return out
 
 
@@ -244,12 +284,15 @@ def is_irreducible(x: Shift) -> Decision:
     """Can every ordered pair of language words be joined: for all u, v is
     there some w with uwv in the language?
 
-    The acceptor's sink component presents an irreducible shift inside x,
-    so x is irreducible iff the sink meets every backward reading set.
-    Otherwise the witness is a concrete unjoinable pair: u is the
-    (length, lex)-least word leading into the sink, and v the word of the
-    first backward set (family order) that misses the sink; every run
-    after u stays in the sink, where no state reads v.  Memoised on ``x``.
+    Yes when ``x.essential`` is strongly connected
+    (:func:`_essential_period`).  Otherwise the acceptor decides: its sink
+    component presents an irreducible shift inside x, so x is irreducible
+    iff the sink meets every backward reading set, as it does when it is
+    the whole acceptor.  Otherwise the witness is a concrete unjoinable
+    pair: u is the (length, lex)-least word leading into the sink, and v
+    the word of the first backward set (family order) that misses the
+    sink; every run after u stays in the sink, where no state reads v.
+    Memoised on ``x``.
     """
     return x.derived("irreducible", _irreducible)
 
@@ -258,7 +301,13 @@ def _irreducible(x: Shift) -> Decision:
     if x.is_empty:
         return Decision(True, None, "language",
                         note="empty shift: holds vacuously")
-    sink = sum(1 << q for q in _condensation(x)[0])
+    if _essential_period(x):
+        return Decision(True, None, "language")
+    comps = _condensation(x)
+    # a sink of every state meets every (nonempty) backward set
+    if len(comps) == 1:
+        return Decision(True, None, "language")
+    sink = sum(1 << q for q in comps[0])
     v = _joinability(x).miss(sink)
     if v is None:
         return Decision(True, None, "language")
@@ -330,13 +379,15 @@ def _synchronized_cover(x: Shift):
 def is_mixing(x: Shift) -> MixingReport:
     """Irreducible with aperiodic synchronized cover.
 
-    ``cycle_gcd`` is the gcd of the cycle lengths of the synchronized
-    cover, the acceptor's sink component, and 0 when the shift is not
-    irreducible (it then has no cover); mixing holds iff the shift is
-    irreducible and that gcd is 1.  Otherwise the witness splits the sink's
-    states into period classes by path-length residue.  Both come from one
-    breadth-first search in the sink, with no sync search and no cover
-    graph.  Memoised on ``x``.
+    Mixing when ``x.essential`` is strongly connected and aperiodic
+    (:func:`_essential_period`); the report is then (True, 1, True).
+    Otherwise ``cycle_gcd`` is the gcd of the cycle lengths of the
+    synchronized cover, the acceptor's sink component, and 0 when the
+    shift is not irreducible (it then has no cover); mixing holds iff the
+    shift is irreducible and that gcd is 1.  Otherwise the witness splits
+    the sink's states into period classes by path-length residue.  Both
+    come from one breadth-first search in the sink, with no sync search
+    and no cover graph.  Memoised on ``x``.
     """
     return x.derived("mixing", _mixing)
 
@@ -345,20 +396,15 @@ def _mixing(x: Shift) -> MixingReport:
     if x.is_empty:
         return MixingReport(True, 0, True,
                             note="empty shift: holds vacuously")
+    if _essential_period(x) == 1:
+        return MixingReport(True, 1, True)
     irr = is_irreducible(x)
     if not irr.verdict:
         return MixingReport(False, 0, False, witness=irr.witness,
                             note="not irreducible")
-    sink, succ = _condensation(x)[0], _successors(x)
-    # levels from the sink's least state; no move leaves the sink, and the
-    # period is the gcd of lvl[q] + 1 - lvl[t] over its moves q -> t
-    lvl, order, g = {sink[0]: 0}, [sink[0]], 0
-    for q in order:
-        for t in succ[q]:
-            if t not in lvl:
-                lvl[t] = lvl[q] + 1
-                order.append(t)
-            g = math.gcd(g, lvl[q] + 1 - lvl[t])
+    sink = _condensation(x)[0]
+    # levels from the sink's least state; no move leaves the sink
+    lvl, g = _period_levels(_successors(x), sink[0])
     if g == 1:
         return MixingReport(True, 1, True)
     classes: list[list[int]] = [[] for _ in range(g)]
@@ -388,8 +434,8 @@ def _certificate(x: Shift) -> SiCertificate:
     if s == -1:
         raise NoSyncWord("sync word left the language; presentation bug")
     r_mask = _reading_states_mask(d, ranks)
-    succ = _successors(x)
-    n0, bad = _eventual_tail(1 << s, lambda m: _step_mask(m, succ),
+    rows = [sum(1 << t for t in ts) for ts in _successors(x)]
+    n0, bad = _eventual_tail(1 << s, lambda m: _step_mask(m, rows),
                              lambda m: not m & r_mask, _GAP_CAP,
                              "gap evolution")
     # the orbit closed within _GAP_CAP steps, so n0 <= _GAP_CAP

@@ -12,10 +12,11 @@ and Coding*, 3.3-3.4); every query runs against these.  Everything else
 is derived and memoised on the instance on first use, see
 :meth:`Memo.derived`: the essential part of the acceptor (the
 past-determined presentation the map layer reads on every domain), the
-acceptor's successor table and condensation, whose sink component decides
-irreducibility and the period, the backward family, the irreducibility
-verdict, synchronized cover, mixing report, gap certificate and spectral
-entropy.
+period of the essential presentation when it is strongly connected, which
+decides irreducibility and mixing without the acceptor, the acceptor's
+successor table and condensation, whose sink component decides them
+otherwise, the backward family, the irreducibility verdict, synchronized
+cover, mixing report, gap certificate and spectral entropy.
 """
 
 from __future__ import annotations
@@ -163,8 +164,10 @@ class Shift(Memo):
 
     ``essential`` and ``acceptor`` are built at construction; everything
     else, :attr:`deterministic` included, is derived and memoised on first
-    use (:meth:`derived`).  The invariants read the acceptor's table
-    directly; only :attr:`deterministic` makes a graph of it.
+    use (:meth:`derived`).  Irreducibility and mixing read ``essential``
+    first, when it is strongly connected and no larger than the acceptor;
+    the other invariants read the acceptor's table directly, and only
+    :attr:`deterministic` makes a graph of it.
     """
 
     __slots__ = ("alphabet", "kind", "origin", "essential", "acceptor",

@@ -598,6 +598,45 @@ class TestWitnessesAgainstOracles:
         self._check(random_ca(x.alphabet, x.alphabet, (0, width - 1), seed), x)
 
 
+_FULL3 = Shift.from_forbidden(Alphabet(("0", "1", "2")), ())
+
+
+class TestDiamondPointPairs:
+    """A rule with a diamond is not injective, and its point pair extends
+    that diamond: a diagonal cycle on the left, identical blocks inside the
+    tail set on the right."""
+
+    @given(st.sampled_from(("even", "golden", "full2", "full3", "mixnot_2",
+                            "mixnot_3", "mixnot_4", "mixnot_5")),
+           st.integers(1, 4), st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_diamond_points_verify(self, shifts, name, width, seed):
+        x = _FULL3 if name == "full3" else shifts[name]
+        t = random_ca(x.alphabet, x.alphabet, (0, width - 1), seed)
+        pre = is_pre_injective(t, x)
+        assume(pre.verdict is False)
+        w = is_injective(t, x).witness
+        assert_point_pair(t, x, w)
+        a, b = pre.witness.first.word.text, pre.witness.second.word.text
+        assert any(w.first.text[i:i + len(a)] == a
+                   and w.second.text[i:i + len(b)] == b
+                   for i in range(len(w.first.text)))
+
+    def test_right_walk_stays_in_the_tail_set(self):
+        # the diamond 0 vs 1 of the constant rule ends on two states that
+        # both read 0, into a pair with no common future; only 1 keeps the
+        # points going
+        bits = Alphabet(("0", "1"))
+        x = Shift.from_graph(LabeledGraph(bits, 5, (
+            (0, 0, 1), (1, 0, 0), (2, 0, 1), (2, 1, 0), (3, 1, 1),
+            (3, 2, 0), (4, 1, 1), (4, 3, 0), (4, 4, 1))))
+        t = constant_ca(bits, "1")
+        w = is_injective(t, x).witness
+        assert_point_pair(t, x, w)
+        assert (w.first.text, w.second.text, w.right_period) \
+            == ("100111", "110111", 1)
+
+
 def _common_context(x, t, wit, m_max=10):
     """A pair (left, right) of constant contexts such that, for every
     m <= m_max, left^m w right^m is a block of ``x.origin`` for both words
@@ -708,6 +747,20 @@ class TestComputedOncePerRule:
         assert "#: surjective 1" in capsys.readouterr().out
         assert calls == {"window_states": 1, "window_graph": 1,
                          "_diamond_search": 1}
+
+    def test_diamond_rule_peels_no_core(self, monkeypatch, capsys):
+        # const0 on full2 has a diamond: both verdicts read the one search,
+        # and the point pair comes from it, with no bi-infinite core
+        import soficlab.ca as ca
+        from soficlab.cli import main
+
+        calls = self._count(monkeypatch, ca, ("_diamond_search",
+                                              "core_vertices"))
+        assert main(["ca", "analyze", "full2", "const0"]) == 0
+        out = capsys.readouterr().out
+        assert "#: pre_injective 0 point" in out
+        assert "#: injective 0" in out
+        assert calls == {"_diamond_search": 1, "core_vertices": 0}
 
     def test_sofic_search_runs_once(self, monkeypatch, capsys):
         # identity on the even shift: one pair-graph search decides, at

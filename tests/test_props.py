@@ -1,9 +1,10 @@
 """Irreducibility, mixing, uniform-gap certificates, and gluing."""
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (fill_exists, gap_failure_pair, irreducible_by_reach,
@@ -424,6 +425,7 @@ class TestComputedOncePerShift:
         import soficlab.props as props
         from soficlab.cli import main
         from soficlab.graph import strongly_connected_components as scc
+        from soficlab.shiftio import parse_shift_file
 
         calls = {"backward_subsets": 0, "shortest_sync": 0, "to_graph": 0,
                  "scc": 0}
@@ -436,20 +438,33 @@ class TestComputedOncePerShift:
                                 _counting(calls, name, getattr(props, name)))
         monkeypatch.setattr(dfa, "to_graph",
                             _counting(calls, "to_graph", dfa.to_graph))
+        path = tmp_path / "even.shift"
+        path.write_text("alphabet: 0 1\ngraph:\nedge 0 0 0\nedge 0 1 1\n"
+                        "edge 1 0 1\n")
+        # the condensation pass runs on the acceptor (3 states) and, for
+        # irreducibility and mixing, on the essential graph (2 vertices);
+        # each counts under its own name
+        x = parse_shift_file(str(path))
+        which = {x.acceptor.n_states: "scc",
+                 x.essential.n_vertices: "essential_scc"}
+        assert len(which) == 2
+        calls["essential_scc"] = 0
+
+        def counted_scc(adj):
+            calls[which[len(adj)]] += 1
+            return scc(adj)
+
         # every package module that imported the condensation pass
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("soficlab") and \
                     vars(mod).get("strongly_connected_components") is scc:
                 monkeypatch.setattr(mod, "strongly_connected_components",
-                                    _counting(calls, "scc", scc))
-        path = tmp_path / "even.shift"
-        path.write_text("alphabet: 0 1\ngraph:\nedge 0 0 0\nedge 0 1 1\n"
-                        "edge 1 0 1\n")
+                                    counted_scc)
         assert main(["shift", "analyze", str(path),
                      "--minimal-gap", "64"]) == 0
         assert "#: minimal_gap" in capsys.readouterr().out
         assert calls == {"backward_subsets": 1, "shortest_sync": 1,
-                         "to_graph": 0, "scc": 1}
+                         "to_graph": 0, "scc": 1, "essential_scc": 1}
 
     def test_corpus_instance_runs_one_sync_search(self, monkeypatch):
         # the domain's certificate is the only reader of the cover; the
@@ -465,3 +480,50 @@ class TestComputedOncePerShift:
         rep = run_corpus(full2, 1, 42, (0, 2))
         assert rep.skipped == 0 and not rep.contradictions
         assert calls == {"shortest_sync": 1, "LabeledGraph": 1}
+
+    def test_full_shift_corpus_runs_no_backward_family(self, monkeypatch):
+        # the domain and the image are both presented by primitive graphs,
+        # so neither irreducibility verdict reads the acceptor
+        import soficlab.props as props
+        from soficlab import run_corpus
+
+        calls = {"backward_subsets": 0}
+        monkeypatch.setattr(props, "backward_subsets", _counting(
+            calls, "backward_subsets", props.backward_subsets))
+        full2 = Shift.from_forbidden(BITS, ())
+        rep = run_corpus(full2, 1, 42, (0, 2))
+        assert len(rep.instances) == 1 and rep.instances[0].image_si
+        assert calls == {"backward_subsets": 0}
+
+
+class TestPresentationAgreesWithSink:
+    """Irreducibility and mixing read off a strongly connected essential
+    graph agree with the verdicts read off the acceptor's sink alone."""
+
+    @given(st.one_of(graph_shift_unions(), small_sfts()))
+    @example(Shift.from_graph(LabeledGraph(BITS, 2, ((0, 0, 0), (1, 1, 1)))))
+    @example(Shift.from_graph(LabeledGraph(BITS, 2, ((0, 1, 0), (1, 0, 1)))))
+    @example(Shift.from_forbidden(BITS, ("111",)))
+    @settings(max_examples=300, deadline=None)
+    def test_routes_agree(self, x):
+        import soficlab.props as props
+
+        fast = (is_irreducible(x), is_mixing(x))
+        again = Shift(x.origin, x.kind, x.essential)
+        with mock.patch.object(props, "_essential_period", lambda y: 0):
+            assert (is_irreducible(again), is_mixing(again)) == fast
+
+    @pytest.mark.parametrize("shift,period", (
+        # two loops: reducible, with the presentation no larger than the
+        # acceptor, so the component count decides
+        (Shift.from_graph(LabeledGraph(BITS, 2, ((0, 0, 0), (1, 1, 1)))), 0),
+        # one 2-cycle: strongly connected, period 2
+        (Shift.from_graph(LabeledGraph(BITS, 2, ((0, 1, 0), (1, 0, 1)))), 2),
+        (Shift.from_forbidden(BITS, ()), 1),
+        # 4 blocks of length 2 against an acceptor of 3 states: not tried
+        (Shift.from_forbidden(BITS, ("111",)), 0),
+    ))
+    def test_both_branches_run(self, shift, period):
+        from soficlab.props import _essential_period
+
+        assert _essential_period(shift) == period
