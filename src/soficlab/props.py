@@ -11,7 +11,7 @@ irreducibility, and mixing too when the period is 1.  The image of a full
 shift is presented by its recoding, a primitive de Bruijn graph.  The pass
 is tried only when the essential graph has at most as many vertices as the
 acceptor has states, so that it never costs much more than the acceptor's
-own pass; a vertex-per-block SFT graph can be a hundred times larger.
+own pass; a presentation given as a graph can be far larger.
 
 Every other case, and every False verdict with its witness, reads the
 minimal acceptor.  No move leaves the acceptor's sink component (the first

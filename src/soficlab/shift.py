@@ -2,14 +2,14 @@
 
 A :class:`Shift` is built either from a finite set of forbidden words (a
 subshift of finite type) or from an arbitrary labeled graph (a sofic
-subshift).  A forbidden-word spec becomes a vertex-per-block graph
-(:func:`sft_to_graph`), whose blocks are screened by an Aho-Corasick
-matcher of the forbidden words (Aho & Corasick, "Efficient string
-matching", CACM 18(6), 1975).  Construction eagerly builds two canonical
-objects: an essential presentation, and the minimal acceptor of the block
-language from one subset construction (Lind & Marcus, *Symbolic Dynamics
-and Coding*, 3.3-3.4); every query runs against these.  Everything else
-is derived and memoised on the instance on first use, see
+subshift).  A forbidden-word spec is presented by the non-terminal states
+of the Aho-Corasick matcher of its forbidden words (Aho & Corasick,
+"Efficient string matching", CACM 18(6), 1975), so a forbidden word of
+length L costs at most L vertices, not a vertex per block of the window.
+Construction eagerly builds two canonical objects: an essential
+presentation, and the minimal acceptor of the block language from one
+subset construction (Lind & Marcus, *Symbolic Dynamics and Coding*,
+3.3-3.4); every query runs against these.  Everything else is derived and memoised on the instance on first use, see
 :meth:`Memo.derived`: the essential part of the acceptor (the
 past-determined presentation the map layer reads on every domain), the
 period of the essential presentation when it is strongly connected, which
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from . import dfa as _dfa
 from .base import Alphabet, CellularAutomaton, Decision, Memo, Word
-from .dfa import _STATE_CAP
-from .errors import AlphabetMismatch, EmptyShift, StateBlowup
+from .errors import AlphabetMismatch, EmptyShift
 from .graph import LabeledGraph, essentialize, follower_reduce, path_graph
 
 
@@ -63,7 +62,10 @@ class SftSpec:
 def _forbidden_matcher(bad: list[tuple[int, ...]], na: int
                        ) -> tuple[list[list[int]], list[bool]]:
     """Aho-Corasick automaton of the forbidden words: a total move table
-    over the trie of their prefixes, and the terminal flags.
+    over the trie of their prefixes, and the terminal flags.  Its
+    non-terminal part is the SFT's presentation (:meth:`Shift.from_forbidden`):
+    at most one vertex per nonempty prefix of a forbidden word, plus the
+    root.
 
     State s after reading a word stands for the longest suffix of that word
     which is a prefix of some forbidden word; s is terminal exactly when
@@ -102,41 +104,6 @@ def _forbidden_matcher(bad: list[tuple[int, ...]], na: int
                 fail[t] = f[a]
                 queue.append(t)
     return move, term
-
-
-def sft_to_graph(spec: SftSpec, cap: int = _STATE_CAP) -> LabeledGraph:
-    """Vertex-per-block presentation of the SFT.
-
-    Vertices are the words of length ``window - 1`` containing no forbidden
-    factor, in lexicographic order of ranks; an edge ``u -> v`` labeled
-    ``a`` exists when ``v`` is ``u·a`` minus its first symbol and no
-    forbidden word is a suffix of ``u·a``.  The result presents exactly the
-    SFT once essentialized, and is right-resolving by construction.
-
-    Each block carries the state the Aho-Corasick matcher of the forbidden
-    words reaches on it (Aho & Corasick, CACM 18(6), 1975), so an
-    extension is blocked exactly when the next state is terminal: one table
-    lookup per extension.  Each block also carries its number in base
-    ``|A|``, so the target of an edge is the extended number modulo
-    ``|A|^(window-1)``.
-    """
-    m = spec.window
-    na = len(spec.alphabet)
-    move, term = _forbidden_matcher([w.ranks() for w in spec.forbidden], na)
-    # appending to an already-clean block can only introduce a forbidden
-    # factor as a suffix, which the next state's terminal flag records
-    level = [(0, 0)]  # (block number, matcher state), blocks in rank order
-    for _ in range(m - 1):
-        level = [(code * na + a, t) for code, s in level
-                 for a, t in enumerate(move[s]) if not term[t]]
-        if len(level) > cap:
-            raise StateBlowup(f"SFT presentation exceeds {cap} vertices")
-    size = na ** (m - 1)
-    vid = {code: i for i, (code, _) in enumerate(level)}
-    edges = [(i, vid[(code * na + a) % size], a)
-             for i, (code, s) in enumerate(level)
-             for a, t in enumerate(move[s]) if not term[t]]
-    return LabeledGraph(spec.alphabet, len(level), tuple(edges))
 
 
 class Shift(Memo):
@@ -188,9 +155,26 @@ class Shift(Memo):
 
     @classmethod
     def from_forbidden(cls, alphabet: Alphabet, forbidden=()) -> "Shift":
-        """SFT over ``alphabet`` avoiding every word in ``forbidden``."""
+        """SFT over ``alphabet`` avoiding every word in ``forbidden``.
+
+        Presented by the non-terminal states of the forbidden words'
+        matcher (:func:`_forbidden_matcher`), in its order, with an edge
+        ``s -> move[s][a]`` labeled ``a`` whenever the target is not
+        terminal: at most ``1 + sum(len(w))`` vertices, where the blocks of
+        length ``window - 1`` number up to ``|A|^(window-1)``.  After
+        ``window`` symbols the state depends only on the last ``window``,
+        and is terminal exactly when a forbidden word ends there, so the
+        bi-infinite paths read exactly the points with no forbidden factor
+        (Lind & Marcus, 3.3-3.4).  The graph is right-resolving.
+        """
         spec = SftSpec(alphabet, tuple(alphabet.word(w) for w in forbidden))
-        return cls(spec, "sft", sft_to_graph(spec))
+        move, term = _forbidden_matcher([w.ranks() for w in spec.forbidden],
+                                        len(alphabet))
+        keep = [s for s, t in enumerate(term) if not t]
+        vid = {s: i for i, s in enumerate(keep)}
+        edges = tuple((vid[s], vid[t], a) for s in keep
+                      for a, t in enumerate(move[s]) if not term[t])
+        return cls(spec, "sft", LabeledGraph(alphabet, len(keep), edges))
 
     @classmethod
     def from_graph(cls, g: LabeledGraph) -> "Shift":

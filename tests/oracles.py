@@ -16,7 +16,9 @@ layers under them, and the reach oracles :func:`irreducible_by_reach`,
 :func:`unjoinable` and :func:`sink_period`, read the minimal acceptor;
 :func:`origin_contains`, and the word lists, block counts and
 :func:`fill_exists` built on it, read only the description the shift was
-built from, so they also check canonicalization itself.
+built from, so they also check canonicalization itself.  :func:`linear_ca`
+tabulates a linear rule from its coefficients, whose verdicts have a
+closed form.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from collections import deque
 
 import numpy as np
 
+from soficlab.base import Alphabet, CellularAutomaton
 from soficlab.errors import StateBlowup
 from soficlab.graph import LabeledGraph
 from soficlab.shift import SftSpec
@@ -529,6 +532,17 @@ def sft_graph_by_suffix_scan(spec, cap):
             if not blocked(ext):
                 edges.append((vid[w], vid[ext[1:] if m > 1 else ()], a))
     return LabeledGraph(spec.alphabet, len(verts), tuple(edges))
+
+
+def linear_ca(m, coeffs):
+    """The linear rule ``x -> sum_j coeffs[j] x(i+j) mod m`` on the full
+    m-shift over ``0..m-1``, memory ``[0, len(coeffs) - 1]``, tabulated
+    window by window."""
+    alpha = Alphabet(tuple(str(a) for a in range(m)))
+    width = len(coeffs)
+    table = tuple(str(sum(c * a for c, a in zip(coeffs, w)) % m)
+                  for w in itertools.product(range(m), repeat=width))
+    return CellularAutomaton(alpha, alpha, 0, width - 1, table)
 
 
 def core_by_two_sided_peel(n, edges):

@@ -26,8 +26,8 @@ from soficlab.graph import LabeledGraph
 from soficlab.shift import SftSpec
 
 from oracles import (common_extension, image_mismatch, image_word_outside,
-                     missing_preimage, origin_blocks, origin_contains,
-                     periodic_point_allowed, table_image)
+                     linear_ca, missing_preimage, origin_blocks,
+                     origin_contains, periodic_point_allowed, table_image)
 
 
 def or_rule(a):
@@ -106,8 +106,8 @@ class TestPairGraph:
         assert len(det.edges) == 5 and pg.n_base == 4
 
     def test_sft_domain_reads_the_acceptor_part(self, shifts):
-        # mixnot_5's block presentation has 618 vertices, its acceptor part
-        # 12: a one-cell rule pairs 12 * 12 vertices, not 618 * 618
+        # mixnot_5 has 618 blocks of length 11 and 22 essential matcher
+        # states, its acceptor part 12: a one-cell rule pairs 12 * 12
         x = shifts["mixnot_5"]
         pg = pair_graph(bundled_ca("collapse", x), x)
         assert pg.n_base == x.deterministic.n_vertices == 12
@@ -231,6 +231,46 @@ class TestInjectivity:
                     hits += 1
                     assert is_pre_injective(t, x).verdict is True
         assert hits > 0
+
+
+_LINEAR_WIDTH = {2: 6, 3: 3, 4: 3, 6: 2}  # widest rule tried per modulus
+
+
+@st.composite
+def linear_rules(draw):
+    m = draw(st.sampled_from(sorted(_LINEAR_WIDTH)))
+    coeffs = draw(st.lists(st.integers(0, m - 1), min_size=1,
+                           max_size=_LINEAR_WIDTH[m]))
+    return m, tuple(coeffs)
+
+
+class TestLinearRules:
+    """Linear rules on the full m-shift against the closed form of Ito,
+    Osato & Nasu (J. Comput. System Sci. 27, 1983): surjective iff, for
+    every prime p dividing m, some coefficient is nonzero mod p, and
+    injective iff exactly one is.  Two asymptotic points with equal images
+    differ by a finite configuration in the kernel, and one exists iff
+    every coefficient vanishes mod some such p, so pre-injectivity has
+    the criterion of surjectivity."""
+
+    @given(linear_rules())
+    @settings(max_examples=200, deadline=None)
+    @example((2, (1, 1)))
+    @example((2, (0, 0, 0)))
+    @example((4, (2, 1)))
+    @example((6, (3, 2)))
+    @example((6, (2, 4)))
+    def test_closed_form(self, rule):
+        m, coeffs = rule
+        t = linear_ca(m, coeffs)
+        x = Shift.from_forbidden(t.source, ())
+        primes = [p for p in range(2, m + 1)
+                  if m % p == 0 and all(p % q for q in range(2, p))]
+        units = [sum(c % p != 0 for c in coeffs) for p in primes]
+        onto = all(u >= 1 for u in units)
+        assert is_surjective(t, x, x).verdict == onto
+        assert is_pre_injective(t, x).verdict == onto
+        assert is_injective(t, x).verdict == all(u == 1 for u in units)
 
 
 class TestAlphabetChecked:

@@ -2,8 +2,8 @@
 ``Shift.origin``: random small graphs and random forbidden-word sets.  The
 bitmask joinability kernels (backward family, gap test, diameter) are
 checked the same way against transparent set-based oracles, and the
-canonicalization kernels (Aho-Corasick block presentation, Moore
-refinement, the peel that removes nothing) against a suffix scan and table
+canonicalization kernels (Aho-Corasick presentation, Moore refinement, the
+peel that removes nothing) against a suffix-scan block graph and table
 filling."""
 
 import itertools
@@ -24,7 +24,7 @@ from soficlab.graph import (core_vertices, directed_diameter, essentialize,
                             follower_reduce, infinite_path_starts,
                             refine_classes)
 from soficlab.props import _Joinability
-from soficlab.shift import SftSpec, sft_to_graph
+from soficlab.shift import SftSpec
 
 from oracles import (_sft_steps, backward_family, common_extension,
                      core_by_two_sided_peel, diameter_by_bfs, first_missed,
@@ -32,6 +32,7 @@ from oracles import (_sft_steps, backward_family, common_extension,
                      reachable_states, sft_graph_by_suffix_scan)
 
 _ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
+_MULTI = Alphabet(("a", "bb"))
 _MAX_LEN = {2: 6, 3: 4}  # longest word checked exhaustively
 
 
@@ -78,8 +79,9 @@ def _oracle_members(x, n):
 
 def _reshuffled(x):
     """A graph for the same shift as ``x``: its origin graph (or the SFT's
-    block presentation) twice over, vertices reversed."""
-    g = x.origin if isinstance(x.origin, LabeledGraph) else sft_to_graph(x.origin)
+    block graph by suffix scan) twice over, vertices reversed."""
+    g = x.origin if isinstance(x.origin, LabeledGraph) \
+        else sft_graph_by_suffix_scan(x.origin, _STATE_CAP)
     n = g.n_vertices
     edges = [(2 * n - 1 - s - off, 2 * n - 1 - d - off, a)
              for off in (0, n) for s, d, a in g.edges]
@@ -405,7 +407,7 @@ def multigraph_edges(draw):
 
 
 class TestCanonicalizationKernels:
-    """The block presentation against a forbidden-word suffix scan, Moore
+    """The matcher presentation against a forbidden-word suffix scan, Moore
     refinement against Myhill-Nerode table filling, and the one-sided peel
     against a two-sided degree peel closed backwards."""
 
@@ -422,33 +424,43 @@ class TestCanonicalizationKernels:
         assert infinite_path_starts(n, edges, 1, 0) \
             == reach_core_by_closure(n, reversed_edges)
 
-    @given(sft_specs(), st.one_of(st.none(), st.integers(0, 40)))
+    @given(sft_specs())
     @settings(max_examples=150, deadline=None)
-    def test_sft_to_graph(self, spec, cap):
-        cap = _STATE_CAP if cap is None else cap
+    def test_sft_to_graph(self, spec):
+        # the matcher's presentation gives the block graph's acceptor, with
+        # at most one vertex per prefix of a forbidden word
+        x = Shift.from_forbidden(spec.alphabet, spec.forbidden)
+        assert x.essential.n_vertices <= 1 + sum(map(len, spec.forbidden))
         try:
-            expected = sft_graph_by_suffix_scan(spec, cap)
-        except StateBlowup as exc:
-            with pytest.raises(StateBlowup) as info:
-                sft_to_graph(spec, cap)
-            assert str(info.value) == str(exc)
-        else:
-            assert sft_to_graph(spec, cap) == expected
+            blocks = sft_graph_by_suffix_scan(spec, _STATE_CAP)
+        except StateBlowup:
+            return
+        assert x.acceptor == Shift.from_graph(blocks).acceptor
 
     def test_sft_to_graph_by_hand(self):
         a = _ALPHABETS[2]
-        g = sft_to_graph(SftSpec(a, ()))
-        assert (g.n_vertices, g.edges) == (1, ((0, 0, 0), (0, 0, 1)))
-        g = sft_to_graph(SftSpec(a, (a.word("1"),)))
-        assert g.edges == ((0, 0, 0),)
-        multi = Alphabet(("a", "bb"))
-        g = sft_to_graph(SftSpec(multi, (multi.word(["bb", "bb", "a"]),)))
-        # vertices (a,a), (a,bb), (bb,a), (bb,bb) in rank order, and
-        # (bb,bb) cannot be followed by a
-        assert g.n_vertices == 4
-        assert (3, 2, 0) not in g.edges and (3, 3, 1) in g.edges
+        x = Shift.from_forbidden(a, ())
+        assert (x.essential.n_vertices, x.essential.edges) \
+            == (1, ((0, 0, 0), (0, 0, 1)))
+        assert Shift.from_forbidden(a, ("1",)).essential.edges \
+            == ((0, 0, 0),)
+        x = Shift.from_forbidden(_MULTI, (["bb", "bb", "a"],))
+        # matcher states root, bb, (bb,bb) in order, and (bb,bb) cannot be
+        # followed by a
+        assert x.essential.n_vertices == 3
+        assert (2, 0, 0) not in x.essential.edges
+        assert (2, 2, 1) in x.essential.edges
+        spec = SftSpec(_MULTI, (_MULTI.word(["bb", "bb", "a"]),))
+        blocks = sft_graph_by_suffix_scan(spec, _STATE_CAP)
+        assert x.acceptor == Shift.from_graph(blocks).acceptor
+        # no 111: three matcher states where the block graph has four
+        spec = SftSpec(a, (a.word("111"),))
         with pytest.raises(StateBlowup, match="exceeds 3 vertices"):
-            sft_to_graph(SftSpec(a, (a.word("111"),)), cap=3)
+            sft_graph_by_suffix_scan(spec, 3)
+        x = Shift.from_forbidden(a, ("111",))
+        assert x.essential.n_vertices == 3
+        blocks = sft_graph_by_suffix_scan(spec, _STATE_CAP)
+        assert x.acceptor == Shift.from_graph(blocks).acceptor
 
     @given(partial_tables())
     @settings(max_examples=200, deadline=None)

@@ -520,8 +520,11 @@ class TestPresentationAgreesWithSink:
         # one 2-cycle: strongly connected, period 2
         (Shift.from_graph(LabeledGraph(BITS, 2, ((0, 1, 0), (1, 0, 1)))), 2),
         (Shift.from_forbidden(BITS, ()), 1),
-        # 4 blocks of length 2 against an acceptor of 3 states: not tried
-        (Shift.from_forbidden(BITS, ("111",)), 0),
+        # no 111 on its 4 blocks of length 2, against an acceptor of 3
+        # states: not tried
+        (Shift.from_graph(LabeledGraph(BITS, 4, (
+            (0, 0, 0), (0, 1, 1), (1, 2, 0), (1, 3, 1),
+            (2, 0, 0), (2, 1, 1), (3, 2, 0)))), 0),
     ))
     def test_both_branches_run(self, shift, period):
         from soficlab.props import _essential_period

@@ -1,12 +1,14 @@
 """Shift construction, language queries, recodings, and their invariants."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import block_counts_by_extension
 from soficlab import (Alphabet, AlphabetMismatch, LabeledGraph, Shift,
-                      equal_shifts, higher_block, language_included)
+                      block_counts, entropy_spectral, equal_shifts,
+                      higher_block, language_included)
 
 BITS = Alphabet(("0", "1"))
 
@@ -57,6 +59,22 @@ class TestConstruction:
         # acceptor part
         assert not hasattr(even, "window")
         assert even.kind == "sofic"
+
+    def test_run_of_24_forbidden(self):
+        # 2^23 blocks of length 23, but 24 states of the matcher: one per
+        # count of trailing 1s
+        x = Shift.from_forbidden(BITS, ("1" * 24,))
+        assert x.essential.n_vertices == 24
+        c = block_counts(x, 60)
+        for n in range(61):
+            assert c[n] == (2 ** n if n < 24 else sum(c[n - 24:n])), n
+        # the Perron root is the largest root of x^24 - x^23 - ... - 1
+        companion = np.zeros((24, 24))
+        companion[0, :] = 1
+        companion[1:, :-1] = np.eye(23)
+        root = max(np.linalg.eigvals(companion).real)
+        lo, hi = entropy_spectral(x).params["bracket"]
+        assert lo * (1 - 1e-12) <= root <= hi * (1 + 1e-12)
 
     def test_graph_with_dead_vertices_is_pruned(self):
         # vertex 2 has no return path; the essential part drops it
