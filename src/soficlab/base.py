@@ -17,6 +17,17 @@ from .errors import AlphabetMismatch, TableTooLarge, WordTooShort
 _TABLE_CAP = 1 << 22  # max local-rule table entries
 
 
+def table_size(n_symbols: int, width: int) -> int:
+    """Entries of a local-rule table of ``width`` over ``n_symbols``
+    symbols, ``n_symbols ** width``; TableTooLarge when they pass
+    ``_TABLE_CAP``, found without computing a power larger than the cap."""
+    n = n_symbols ** min(width, _TABLE_CAP.bit_length())
+    if n > _TABLE_CAP:
+        raise TableTooLarge(f"table needs {n_symbols}^{width} entries, "
+                            f"cap is {_TABLE_CAP}")
+    return n
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A finite ordered alphabet of symbol names.
@@ -254,9 +265,7 @@ class CellularAutomaton(Memo):
             raise ValueError("mem_left must be <= mem_right")
         if not isinstance(self.table, tuple):
             object.__setattr__(self, "table", tuple(self.table))
-        n = len(self.source) ** self.width
-        if n > _TABLE_CAP:
-            raise TableTooLarge(f"table needs {n} entries, cap is {_TABLE_CAP}")
+        n = table_size(len(self.source), self.width)
         if len(self.table) != n:
             raise ValueError(f"table has {len(self.table)} entries, expected {n}")
         for s in self.table:
@@ -273,8 +282,7 @@ class CellularAutomaton(Memo):
         width = mem_right - mem_left + 1
         if width < 1:
             raise ValueError("mem_left must be <= mem_right")
-        if len(source) ** width > _TABLE_CAP:
-            raise TableTooLarge(f"table needs {len(source) ** width} entries")
+        table_size(len(source), width)
         table = tuple(fn(w) for w in itertools.product(source.symbols, repeat=width))
         return cls(source, target, mem_left, mem_right, table)
 

@@ -35,12 +35,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .base import (_TABLE_CAP, Alphabet, CellularAutomaton, ConfigurationWindow,
-                   Decision, Word)
+from .base import (Alphabet, CellularAutomaton, ConfigurationWindow, Decision,
+                   Word, table_size)
 from .dfa import graph_missing
 from .entropy import EntropyEstimate, entropy_spectral
-from .errors import (AlphabetMismatch, NotEndomorphism, NotIntoTarget,
-                     TableTooLarge)
+from .errors import AlphabetMismatch, NotEndomorphism, NotIntoTarget
 from .graph import (LabeledGraph, block_digits, core_vertices,
                     infinite_path_starts, window_graph, window_states)
 from .props import is_strongly_irreducible
@@ -490,12 +489,9 @@ def random_ca(a: Alphabet, b: Alphabet, memory: tuple[int, int],
     width = r - l + 1
     if width < 1:
         raise ValueError("memory interval is empty")
-    if len(a) ** width > _TABLE_CAP:
-        raise TableTooLarge(f"table needs {len(a) ** width} entries, "
-                            f"cap is {_TABLE_CAP}")
+    n = table_size(len(a), width)
     rng = random.Random(seed)
-    table = tuple(b.symbols[rng.randrange(len(b))]
-                  for _ in range(len(a) ** width))
+    table = tuple(b.symbols[rng.randrange(len(b))] for _ in range(n))
     return CellularAutomaton(a, b, l, r, table)
 
 

@@ -8,6 +8,12 @@ the class itself only enforces shape and reachability.
 
 All words at this layer are tuples of symbol ranks.  The typed Word wrappers
 live one level up.
+
+A set of states (or of graph vertices) is an int bitmask, and every subset
+search here (the subset construction, the least word a graph reads and an
+acceptor does not, the shortest synchronizing word) moves such a mask by
+one symbol with the one step :func:`_subset_step`.  The caps on the
+searches that can blow up are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -67,7 +73,12 @@ class FactorialDfa:
 
     def state_after(self, ranks, start: int = 0) -> int:
         """End state of the run, or -1 if it falls off."""
-        return state_after(self.trans, ranks, start)
+        q = start
+        for a in ranks:
+            q = self.trans[q][a]
+            if q == -1:
+                return -1
+        return q
 
     def defined(self, ranks, start: int = 0) -> bool:
         return self.state_after(ranks, start) != -1
@@ -76,55 +87,61 @@ class FactorialDfa:
         return f"FactorialDfa({self.n_states} states over {self.alphabet.compact})"
 
 
-def _successors(g: LabeledGraph) -> list[list[list[int]]]:
-    """``post[v][a]``: the targets of the edges out of v labelled a."""
-    post: list[list[list[int]]] = [[[] for _ in g.alphabet.symbols]
-                                   for _ in range(g.n_vertices)]
+def _graph_cols(g: LabeledGraph) -> list[list[int]]:
+    """``cols[a][v]``: the mask of the a-successors of v in ``g``."""
+    cols = [[0] * g.n_vertices for _ in g.alphabet.symbols]
     for s, d, a in g.edges:
-        post[s][a].append(d)
-    return post
+        cols[a][s] |= 1 << d
+    return cols
 
 
-def determinize(g: LabeledGraph, cap: int = _STATE_CAP) -> FactorialDfa:
+def _subset_step(cols: list[list[int]], s: int) -> list[int]:
+    """The step of every subset search: per symbol rank a, the mask of the
+    a-successors of the states in the mask s, 0 when none has one.
+    ``cols[a][v]`` is the mask of v's a-successors."""
+    members = []
+    while s:
+        lsb = s & -s
+        members.append(lsb.bit_length() - 1)
+        s ^= lsb
+    out = []
+    for col in cols:
+        nxt = 0
+        for v in members:
+            nxt |= col[v]
+        out.append(nxt)
+    return out
+
+
+def determinize(g: LabeledGraph) -> FactorialDfa:
     """Subset construction from the set of all vertices of ``g``.
 
     For an essential graph this accepts exactly the finite label words of
     paths, i.e. the language of the presented subshift.  An empty graph
-    yields the one-state acceptor of the empty-word-only language.  Each
-    vertex set is a bitmask, and its successor under a symbol the OR of
-    its vertices' successor masks, built once per vertex and symbol.
+    yields the one-state acceptor of the empty-word-only language.  Vertex
+    sets are bitmasks moved by :func:`_subset_step`; StateBlowup when the
+    sets pass ``_STATE_CAP``.
     """
     na = len(g.alphabet)
     if g.n_vertices == 0:
         return FactorialDfa(g.alphabet, ((-1,) * na,))
-    # cols[a][v]: the mask of the a-successors of v
-    cols = [[sum(1 << t for t in ts) for ts in col]
-            for col in zip(*_successors(g))]
+    cols = _graph_cols(g)
     start = (1 << g.n_vertices) - 1
     ids: dict[int, int] = {start: 0}
     order = [start]
     rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        cur, members = order[i], []
-        while cur:
-            lsb = cur & -cur
-            members.append(lsb.bit_length() - 1)
-            cur ^= lsb
+    for cur in order:
         row = [-1] * na
-        for a, col in enumerate(cols):
-            nxt = 0
-            for v in members:
-                nxt |= col[v]
+        for a, nxt in enumerate(_subset_step(cols, cur)):
             if nxt:
                 if nxt not in ids:
-                    if len(ids) >= cap:
-                        raise StateBlowup(f"subset construction passed {cap} states")
+                    if len(ids) >= _STATE_CAP:
+                        raise StateBlowup(
+                            f"subset construction passed {_STATE_CAP} states")
                     ids[nxt] = len(order)
                     order.append(nxt)
                 row[a] = ids[nxt]
         rows.append(row)
-        i += 1
     return FactorialDfa(g.alphabet, tuple(map(tuple, rows)))
 
 
@@ -135,32 +152,15 @@ def minimize(d: FactorialDfa) -> FactorialDfa:
     renumbering from the start state in symbol-rank order.  Two acceptors
     have equal languages iff their minimized forms are identical.
     """
-    n = d.n_states
-    na = len(d.alphabet)
     cls, nc = refine_classes(d.trans)
     # quotient transitions (well defined at the fixpoint)
-    qtrans = [[-1] * na for _ in range(nc)]
-    for q in range(n):
-        for a in range(na):
-            t = d.trans[q][a]
-            if t != -1:
-                qtrans[cls[q]][a] = cls[t]
+    qtrans: list = [None] * nc
+    for q, row in enumerate(d.trans):
+        qtrans[cls[q]] = [cls[t] if t != -1 else -1 for t in row]
     # canonical numbering: BFS from the start class
-    old_of_new: list[int] = [cls[0]]
-    new_of_old = {cls[0]: 0}
-    i = 0
-    while i < len(old_of_new):
-        c = old_of_new[i]
-        for a in range(na):
-            t = qtrans[c][a]
-            if t != -1 and t not in new_of_old:
-                new_of_old[t] = len(old_of_new)
-                old_of_new.append(t)
-        i += 1
-    rows = tuple(
-        tuple(new_of_old[qtrans[c][a]] if qtrans[c][a] != -1 else -1
-              for a in range(na))
-        for c in old_of_new)
+    new_of_old = {c: i for i, c in enumerate(shortest_words(qtrans, cls[0]))}
+    rows = tuple(tuple(new_of_old[t] if t != -1 else -1 for t in qtrans[c])
+                 for c in new_of_old)
     return FactorialDfa(d.alphabet, rows)
 
 
@@ -192,17 +192,6 @@ def word_counts(d: FactorialDfa, n_max: int) -> list[int]:
     return counts
 
 
-def state_after(trans, ranks, start: int = 0) -> int:
-    """End state of the run of ``ranks`` from ``start`` in a partial table
-    (``trans[q][a]`` a state or -1), or -1 if it falls off."""
-    q = start
-    for a in ranks:
-        q = trans[q][a]
-        if q == -1:
-            return -1
-    return q
-
-
 def shortest_words(trans, start: int = 0) -> dict[int, tuple[int, ...]]:
     """The (length, lex)-least word leading from ``start`` to each state it
     reaches in a partial table.  Breadth-first in symbol-rank order, so the
@@ -221,25 +210,11 @@ def shortest_words(trans, start: int = 0) -> dict[int, tuple[int, ...]]:
 def enumerate_ranks(d: FactorialDfa, length: int,
                     start: int = 0) -> Iterator[tuple[int, ...]]:
     """All length-``length`` words readable from ``start``, lexicographic."""
-    na = len(d.alphabet)
-    word: list[int] = []
-    state = [start]
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(word) == length:
-            yield tuple(word)
-            return
-        q = state[-1]
-        for a in range(na):
-            t = d.trans[q][a]
-            if t != -1:
-                word.append(a)
-                state.append(t)
-                yield from rec()
-                word.pop()
-                state.pop()
-
-    yield from rec()
+    level = [((), start)]
+    for _ in range(length):
+        level = [(w + (a,), t) for w, q in level
+                 for a, t in enumerate(d.trans[q]) if t != -1]
+    return (w for w, _ in level)
 
 
 def shortest_difference(d1: FactorialDfa,
@@ -272,16 +247,14 @@ def graph_missing(g: LabeledGraph,
     :func:`shortest_missing` gives for that shift's acceptor, with no
     acceptor built: a breadth-first search over (vertex set, state) pairs
     from (all vertices, 0), the subset construction of ``g`` run only as
-    far as that word.  It runs only for a witness: a verdict alone needs
-    no subsets (``ca.maps_into``)."""
-    post = _successors(g)
-    symbols = range(len(g.alphabet))
-
-    def moves(vs: frozenset) -> list:
-        # an empty set of successors is a move g cannot make
-        return [frozenset(u for v in vs for u in post[v][a]) or -1
-                for a in symbols]
-    return _least_missing(frozenset(range(g.n_vertices)), moves, d)
+    far as that word, with vertex sets as bitmasks moved by
+    :func:`_subset_step`.  It runs only for a witness: a verdict alone
+    needs no subsets (``ca.maps_into``)."""
+    cols = _graph_cols(g)
+    # an empty set of successors is a move g cannot make
+    return _least_missing((1 << g.n_vertices) - 1,
+                          lambda vs: [m or -1 for m in _subset_step(cols, vs)],
+                          d)
 
 
 def _least_missing(start, moves, d: FactorialDfa) -> tuple[int, ...] | None:
@@ -310,43 +283,41 @@ def _least_missing(start, moves, d: FactorialDfa) -> tuple[int, ...] | None:
     return None
 
 
-def post_set(trans, states: frozenset, a: int) -> frozenset:
-    """Image of a state set under one symbol of a partial transition table."""
-    return frozenset(t for q in states if (t := trans[q][a]) != -1)
-
-
-def shortest_sync(trans, states, n_symbols: int) -> tuple[tuple[int, ...], int] | None:
+def shortest_sync(trans, states) -> tuple[tuple[int, ...], int] | None:
     """Shortest word collapsing ``states`` to a single state under the
-    (possibly restricted) partial table ``trans``.
+    partial table ``trans``, whose rows give the symbol count.
 
     Among equally short collapsing words the lexicographically greatest is
     returned, so the choice is deterministic.  Words whose image is empty
     are not collapsing (they are unreadable from every state).  Returns
     (word_ranks, final_state) or None when no collapsing word exists.
+    The search is breadth first over state masks, each moved by
+    :func:`_subset_step` and its symbols tried from the greatest down.
     """
-    start = frozenset(states)
+    start = sum(1 << q for q in set(states))
     if not start:
         return None
-    if len(start) == 1:
-        return (), next(iter(start))
+    if not start & (start - 1):
+        return (), start.bit_length() - 1
+    cols = [[1 << t if t != -1 else 0 for t in col] for col in zip(*trans)]
     seen = {start}
-    queue: deque[tuple[frozenset, tuple[int, ...]]] = deque([(start, ())])
+    queue: deque[tuple[int, tuple[int, ...]]] = deque([(start, ())])
     while queue:
         cur, w = queue.popleft()
-        for a in range(n_symbols - 1, -1, -1):
-            nxt = post_set(trans, cur, a)
+        succ = _subset_step(cols, cur)
+        for a in range(len(succ) - 1, -1, -1):
+            nxt = succ[a]
             if not nxt or nxt in seen:
                 continue
             nw = w + (a,)
-            if len(nxt) == 1:
-                return nw, next(iter(nxt))
+            if not nxt & (nxt - 1):
+                return nw, nxt.bit_length() - 1
             seen.add(nxt)
             queue.append((nxt, nw))
     return None
 
 
-def backward_subsets(d: FactorialDfa,
-                     cap: int = _STATE_CAP) -> list[tuple[int, tuple[int, ...]]]:
+def backward_subsets(d: FactorialDfa) -> list[tuple[int, tuple[int, ...]]]:
     """All sets of the form {q : word readable from q}, as bitmasks over
     the states, with a shortest representative word for each.
 
@@ -358,7 +329,8 @@ def backward_subsets(d: FactorialDfa,
     sentinel when undefined.  Every set in the family is nonempty and its
     representative word is in the language (the family's sets are exactly
     the readable words' state sets, and readable-from-somewhere means in
-    the language for a factor-closed acceptor).
+    the language for a factor-closed acceptor).  CapExceeded when the
+    family passes ``_STATE_CAP`` sets.
     """
     n = d.n_states
     # cols[a][q] is the a-successor of q; undefined moves and the sentinel
@@ -376,8 +348,9 @@ def backward_subsets(d: FactorialDfa,
         for a, prev in enumerate(sets[i][cols]):
             key = prev.tobytes()
             if key not in seen:
-                if len(sets) >= cap:
-                    raise CapExceeded(f"backward subset family passed {cap} sets")
+                if len(sets) >= _STATE_CAP:
+                    raise CapExceeded(
+                        f"backward subset family passed {_STATE_CAP} sets")
                 seen.add(key)
                 sets.append(prev)
                 words.append((a,) + v)

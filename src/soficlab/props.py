@@ -330,7 +330,7 @@ def synchronizing_word(x: Shift) -> SyncWitness:
     if x.is_empty:
         raise NoSyncWord("the empty shift has no automaton to synchronize")
     d = x.acceptor
-    res = shortest_sync(d.trans, range(d.n_states), len(x.alphabet))
+    res = shortest_sync(d.trans, range(d.n_states))
     if res is None:
         return _sync_fail(x)
     ranks, q = res
@@ -363,17 +363,18 @@ def _synchronized_cover(x: Shift):
         raise NoSyncWord("the synchronized cover needs a nonempty "
                          "irreducible shift")
     comp, trans = _condensation(x)[0], x.acceptor.trans
-    # no move leaves the sink, so the search reads the acceptor's table
-    res = shortest_sync(trans, comp, len(x.alphabet))
+    # no move leaves the sink, so its rows, renumbered, are a table
+    pos = {v: i for i, v in enumerate(comp)}
+    rows = [[pos[t] if t != -1 else -1 for t in trans[v]] for v in comp]
+    res = shortest_sync(rows, range(len(comp)))
     if res is None:
         return _sync_fail(x)
     ranks, q = res
-    pos = {v: i for i, v in enumerate(comp)}
     cover = LabeledGraph(x.alphabet, len(comp), tuple(
-        (pos[v], pos[t], a) for v in comp
-        for a, t in enumerate(trans[v]) if t != -1))
+        (i, t, a) for i, row in enumerate(rows)
+        for a, t in enumerate(row) if t != -1))
     return cover, tuple(comp), SyncWitness(
-        x.alphabet.word_from_ranks(ranks), q, len(ranks))
+        x.alphabet.word_from_ranks(ranks), comp[q], len(ranks))
 
 
 def is_mixing(x: Shift) -> MixingReport:

@@ -32,11 +32,7 @@ from .graph import LabeledGraph, essentialize, follower_reduce, path_graph
 
 @dataclass(frozen=True)
 class SftSpec:
-    """Forbidden-word description of a subshift of finite type.
-
-    ``window`` is the length of the longest forbidden word (at least 1 even
-    when nothing is forbidden); blocks of that length determine membership.
-    """
+    """Forbidden-word description of a subshift of finite type."""
 
     alphabet: Alphabet
     forbidden: tuple[Word, ...]
@@ -53,10 +49,6 @@ class SftSpec:
                 canon.append(w)
         canon.sort(key=lambda w: (len(w), w.ranks()))
         object.__setattr__(self, "forbidden", tuple(canon))
-
-    @property
-    def window(self) -> int:
-        return max((len(w) for w in self.forbidden), default=1)
 
 
 def _forbidden_matcher(bad: list[tuple[int, ...]], na: int

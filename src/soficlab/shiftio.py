@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import Alphabet, CellularAutomaton
+from .base import Alphabet, CellularAutomaton, table_size
 from .errors import AlphabetMismatch, ParseError
 from .graph import LabeledGraph, block_digits
 from .shift import Shift
@@ -162,13 +162,14 @@ def bind_ca(raw: RawCa, source: Alphabet,
     """Resolve a parsed block map over concrete alphabets.
 
     The table must cover every source word of the rule width exactly once;
-    duplicates and gaps are reported with the offending line.
+    duplicates and gaps are reported with the offending line.  A width
+    whose table passes the cap raises TableTooLarge before any line is
+    read.
     """
     if target is None:
         target = source
     width = raw.mem_right - raw.mem_left + 1
-    size = len(source) ** width
-    table: list[str | None] = [None] * size
+    table: list[str | None] = [None] * table_size(len(source), width)
     for lineno, intext, outtext in raw.rules:
         try:
             w = source.word(intext)

@@ -44,13 +44,20 @@ def origin_contains(x, ranks) -> bool:
     return _graph_contains(x.origin, tuple(ranks))
 
 
+def sft_window(spec) -> int:
+    """The length of the longest forbidden word of ``spec``, at least 1
+    even when nothing is forbidden: blocks of that length determine
+    membership."""
+    return max((len(w) for w in spec.forbidden), default=1)
+
+
 def periodic_point_allowed(spec, w, left_period, right_period):
     """Is the point that repeats the first ``left_period`` symbols of the
     rank word ``w`` leftward and its last ``right_period`` rightward free of
     the forbidden words of ``spec``?  With each period repeated ``window``
     times, every factor of the point no longer than a forbidden word is a
     factor of the finite word checked."""
-    m = spec.window
+    m = sft_window(spec)
     ext = w[:left_period] * m + tuple(w) + w[len(w) - right_period:] * m
     bad = {f.ranks() for f in spec.forbidden}
     return not any(ext[i:i + j] in bad for i in range(len(ext))
@@ -86,7 +93,7 @@ def _sft_steps(spec):
     Each side's set is what survives peeling the blocks from which every
     step leads to a peeled block (:func:`_unpeeled`)."""
     bad = frozenset(f.ranks() for f in spec.forbidden)
-    keep = spec.window - 1
+    keep = sft_window(spec) - 1
     syms = range(len(spec.alphabet))
 
     def clean_end(u):
@@ -425,6 +432,38 @@ def backward_family(d):
     return family
 
 
+def word_image(trans, states, w):
+    """The set of end states of the runs of the rank word ``w`` from
+    ``states`` in a partial table; runs that fall off drop out."""
+    image = set()
+    for q in states:
+        for a in w:
+            q = trans[q][a]
+            if q == -1:
+                break
+        else:
+            image.add(q)
+    return image
+
+
+def sync_word_by_levels(trans, states, max_len):
+    """The first word of length at most ``max_len`` that takes ``states``
+    to exactly one state, as (word, state), or None.  Words are tried by
+    length and, within a length, in descending lexicographic order; each
+    is simulated on a plain set, and an empty image does not count (such a
+    word and its extensions are dropped)."""
+    symbols = range(len(trans[0]) - 1, -1, -1)
+    level = [((), set(states))]
+    for length in range(max_len + 1):
+        if length:
+            level = [(w + (a,), nxt) for w, image in level for a in symbols
+                     if (nxt := word_image(trans, image, (a,)))]
+        for w, image in level:
+            if len(image) == 1:
+                return w, next(iter(image))
+    return None
+
+
 def reachable_states(x, s):
     """States of ``x.acceptor`` reachable from state ``s``, ``s`` included,
     by a plain depth-first search."""
@@ -510,7 +549,7 @@ def sft_graph_by_suffix_scan(spec, cap):
     the extension, each forbidden word tested in turn.  Vertices are the
     clean blocks of length ``window - 1`` in lexicographic order; raises
     StateBlowup when a level exceeds ``cap`` blocks."""
-    m = spec.window
+    m = sft_window(spec)
     na = len(spec.alphabet)
     bad = [w.ranks() for w in spec.forbidden]
 

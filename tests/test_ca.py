@@ -19,15 +19,16 @@ from soficlab import (Alphabet, CellularAutomaton, Word,
                       equal_shifts, language_included, block_counts,
                       AlphabetMismatch, NotEndomorphism, NotIntoTarget,
                       Shift, TableTooLarge, WordTooShort)
+from soficlab import dfa
 from soficlab.ca import _image_graph, image_included, maps_into
-from soficlab.dfa import determinize
 from soficlab.errors import StateBlowup
 from soficlab.graph import LabeledGraph
 from soficlab.shift import SftSpec
 
 from oracles import (common_extension, image_mismatch, image_word_outside,
                      linear_ca, missing_preimage, origin_blocks,
-                     origin_contains, periodic_point_allowed, table_image)
+                     origin_contains, periodic_point_allowed, sft_window,
+                     table_image)
 
 
 def or_rule(a):
@@ -48,7 +49,8 @@ def assert_point_pair(t, x, w):
     lp, rp = w.left_period, w.right_period
     assert a != b and len(a) == len(b) and 1 <= lp and 1 <= rp
     sft = isinstance(x.origin, SftSpec)
-    reps = max(t.width, x.origin.window if sft else x.origin.n_vertices + 1)
+    reps = max(t.width,
+               sft_window(x.origin) if sft else x.origin.n_vertices + 1)
 
     def point(u):
         return u[:lp] * reps + u + u[len(u) - rp:] * reps
@@ -589,10 +591,12 @@ class TestImageIncluded:
         # the reference builds the image's acceptor, whose subset
         # construction on three letters at width 4 can take 10^5 states
         # and seconds; such draws are left out
-        try:
-            determinize(_image_graph(t, x), cap=20000)
-        except StateBlowup:
-            assume(False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dfa, "_STATE_CAP", 20000)
+            try:
+                dfa.determinize(_image_graph(t, x))
+            except StateBlowup:
+                assume(False)
         w = self._agrees_with_the_acceptor_route(t, x, y)
         # the oracle reads all |A|^(len(w) + width - 1) words of x; least
         # missing words here reach length 16, so it checks the short ones
@@ -816,7 +820,6 @@ class TestComputedOncePerRule:
 
     def _count_canonical(self, monkeypatch):
         """Subset constructions and follower reductions run by shifts."""
-        import soficlab.dfa as dfa
         import soficlab.shift as shift_mod
 
         calls = self._count(monkeypatch, dfa, ("determinize",))
@@ -890,8 +893,6 @@ class TestComputedOncePerRule:
         # the image inside the domain is decided on the recoding; only the
         # two sides of the equality check in is_surjective compare
         # acceptors
-        import soficlab.dfa as dfa
-
         calls = self._count(monkeypatch, dfa, ("shortest_missing",))
         rep = run_corpus(full2, 1, 42, (0, 2))
         assert len(rep.instances) == 1
@@ -904,7 +905,6 @@ class TestComputedOncePerRule:
         # memoised on it by an earlier test hides one
         import soficlab.ca as ca
         import soficlab.corpus as corpus
-        import soficlab.dfa as dfa
 
         even = bundled_shift("even")
         calls = self._count(monkeypatch, dfa,

@@ -188,6 +188,14 @@ class TestCliCa:
         h_img = [l for l in machine_lines(out) if "h_image" in l][0]
         assert h_dom.split()[-1] == h_img.split()[-1]
 
+    def test_wide_rule_file_is_refused(self, capsys, tmp_path):
+        # the cap trips before the 2^41-entry table is allocated
+        p = tmp_path / "wide.ca"
+        p.write_text("memory: 0 40\nrule " + "0" * 41 + " 0\n")
+        assert main(["ca", "analyze", "full2", str(p)]) == 1
+        assert capsys.readouterr().err == \
+            "error: TableTooLarge: table needs 2^41 entries, cap is 4194304\n"
+
     def test_non_endomorphism_exit_one(self, capsys):
         assert main(["ca", "analyze", "golden", "xor"]) == 1
         assert capsys.readouterr().err == \

@@ -1,10 +1,10 @@
 """Differential tests of canonicalization against an oracle that reads only
 ``Shift.origin``: random small graphs and random forbidden-word sets.  The
-bitmask joinability kernels (backward family, gap test, diameter) are
-checked the same way against transparent set-based oracles, and the
-canonicalization kernels (Aho-Corasick presentation, Moore refinement, the
-peel that removes nothing) against a suffix-scan block graph and table
-filling."""
+bitmask joinability kernels (backward family, sync search, gap test,
+diameter) are checked the same way against transparent set-based oracles,
+and the canonicalization kernels (Aho-Corasick presentation, Moore
+refinement, the peel that removes nothing) against a suffix-scan block
+graph and table filling."""
 
 import itertools
 import time
@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from soficlab import (Alphabet, LabeledGraph, Shift, equal_shifts,
                       is_irreducible)
+from soficlab import dfa
 from soficlab.ca import image_presentation, is_pre_injective, random_ca
 from soficlab.cli import main
 from soficlab.dfa import (_STATE_CAP, FactorialDfa, backward_subsets,
-                          determinize, minimize, word_counts)
+                          determinize, minimize, shortest_sync, word_counts)
 from soficlab.errors import CapExceeded, StateBlowup
 from soficlab.graph import (core_vertices, directed_diameter, essentialize,
                             follower_reduce, infinite_path_starts,
@@ -29,7 +30,8 @@ from soficlab.shift import SftSpec
 from oracles import (_sft_steps, backward_family, common_extension,
                      core_by_two_sided_peel, diameter_by_bfs, first_missed,
                      nerode_classes, origin_contains, reach_core_by_closure,
-                     reachable_states, sft_graph_by_suffix_scan)
+                     reachable_states, sft_graph_by_suffix_scan,
+                     sync_word_by_levels, word_image)
 
 _ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
 _MULTI = Alphabet(("a", "bb"))
@@ -305,8 +307,9 @@ def plain_graphs(draw):
 
 class TestJoinabilityKernels:
     """The bitmask kernels against transparent oracles: a frozenset closure
-    for the backward family, the full ordered scan for the gap test, and
-    one breadth-first search per source for the diameter."""
+    for the backward family, words tried one by one for the sync search,
+    the full ordered scan for the gap test, and one breadth-first search
+    per source for the diameter."""
 
     @given(st.one_of(partial_dfas(), shifts.map(lambda x: x.acceptor)))
     @settings(max_examples=80, deadline=None)
@@ -314,10 +317,28 @@ class TestJoinabilityKernels:
         expected = [(sum(1 << q for q in fs), v)
                      for fs, v in backward_family(d)]
         assert backward_subsets(d) == expected
-        assert backward_subsets(d, cap=len(expected)) == expected
-        if len(expected) > 1:
-            with pytest.raises(CapExceeded):
-                backward_subsets(d, cap=len(expected) - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dfa, "_STATE_CAP", len(expected))
+            assert backward_subsets(d) == expected
+            if len(expected) > 1:
+                mp.setattr(dfa, "_STATE_CAP", len(expected) - 1)
+                with pytest.raises(CapExceeded):
+                    backward_subsets(d)
+
+    @given(partial_dfas(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shortest_sync(self, d, data):
+        # the word oracle fixes both the length and the tie-break (the
+        # lexicographically greatest of the shortest collapsing words)
+        states = data.draw(st.sets(st.integers(0, d.n_states - 1),
+                                   min_size=1))
+        got = shortest_sync(d.trans, states)
+        expected = sync_word_by_levels(d.trans, states, 8)
+        if got is not None and len(got[0]) > 8:
+            assert expected is None
+            assert word_image(d.trans, states, got[0]) == {got[1]}
+        else:
+            assert got == expected
 
     @given(shifts.filter(lambda x: not x.is_empty), st.data())
     @settings(max_examples=80, deadline=None)
