@@ -3,7 +3,8 @@
 Everything here is immutable.  Words carry their alphabet so that mixing
 objects from different alphabets fails loudly instead of silently reindexing.
 Internally most algorithms work on integer symbol ranks; these classes are
-the typed boundary around that.
+the typed boundary around that; :func:`block_rank` fixes the rank order of
+blocks that rule tables and recodings index by.
 """
 
 from __future__ import annotations
@@ -26,6 +27,21 @@ def table_size(n_symbols: int, width: int) -> int:
         raise TableTooLarge(f"table needs {n_symbols}^{width} entries, "
                             f"cap is {_TABLE_CAP}")
     return n
+
+
+def block_rank(ranks, base: int) -> int:
+    """The base-``base`` rank of a block of symbol ranks, leftmost symbol
+    most significant: the index of the block in a rule table."""
+    r = 0
+    for x in ranks:
+        r = r * base + x
+    return r
+
+
+def block_digits(b: int, base: int, k: int) -> tuple[int, ...]:
+    """The k symbol ranks of the block of base-``base`` rank ``b``: the
+    inverse of :func:`block_rank`."""
+    return tuple(b // base ** i % base for i in reversed(range(k)))
 
 
 @dataclass(frozen=True)
@@ -286,12 +302,6 @@ class CellularAutomaton(Memo):
         table = tuple(fn(w) for w in itertools.product(source.symbols, repeat=width))
         return cls(source, target, mem_left, mem_right, table)
 
-    def block_rank(self, ranks: tuple[int, ...]) -> int:
-        r = 0
-        for x in ranks:
-            r = r * len(self.source) + x
-        return r
-
     def apply(self, word) -> Word:
         """Slide the rule across a word; output has length ``len - width + 1``.
 
@@ -304,7 +314,8 @@ class CellularAutomaton(Memo):
         if len(ranks) < k:
             raise WordTooShort(
                 f"word of length {len(ranks)} is shorter than the rule width {k}")
-        out = tuple(self.table[self.block_rank(ranks[i:i + k])]
+        na = len(self.source)
+        out = tuple(self.table[block_rank(ranks[i:i + k], na)]
                     for i in range(len(ranks) - k + 1))
         return Word(self.target, out)
 

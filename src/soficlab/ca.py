@@ -8,24 +8,24 @@ into it, k the rule width (:func:`window_states`); an edge reads one more
 label, so it carries the rank b of a k-block, mapped to entry b of the
 rule's table.  Questions about pairs of points become reachability
 questions in the product of that graph with itself, restricted to edge
-pairs producing the same output.  The image recodes the essential
-presentation; the pair graph recodes the past-determined one,
+pairs producing the same output.  The image and the filter recode the
+essential presentation; the pair graph recodes the past-determined one,
 :attr:`Shift.deterministic`, on every domain, which makes pre-injectivity
 exact.  Whether the image lies in a target is decided by walking the
-essential presentation's window states against the target's acceptor
-(:func:`maps_into`): the verdict builds no recoding and no image shift.
-The image is built only for a question that needs it: surjectivity,
-entropy, image invariants; its graph also for the witness of a failed
-inclusion.
+essential recoding against the target's acceptor (:func:`maps_into`):
+the verdict builds no image shift.  The image is built only for a
+question that needs it: surjectivity, entropy, image invariants; its
+graph also for the witness of a failed inclusion.
 
 Each (rule, domain) pair is analysed once: the pair graph, the diamond
 search with the witnesses built from it, the image graph, image and
 injectivity verdicts are cached on the rule under (name, domain), the
 image's inclusion in a target under (name, domain, target), shifts
-hashing by identity; window states and recodings, which depend on the
-width alone, on the domain under (name, presentation, width), graphs
-hashing by value (:meth:`Memo.derived`).  They are shared by every later
-call, must not be mutated, and are freed with the rule or the domain.
+hashing by identity; recodings, which depend on the width alone, on the
+domain under (name, presentation, width), graphs hashing by value
+(:meth:`Memo.derived`), so every rule, rejected or kept, reads one.  They
+are shared by every later call, must not be mutated, and are freed with
+the rule or the domain.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ import random
 from dataclasses import dataclass
 
 from .base import (Alphabet, CellularAutomaton, ConfigurationWindow, Decision,
-                   Word, table_size)
+                   Word, block_digits, table_size)
 from .dfa import graph_missing
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import AlphabetMismatch, NotEndomorphism, NotIntoTarget
-from .graph import (LabeledGraph, block_digits, core_vertices,
-                    infinite_path_starts, window_graph, window_states)
+from .graph import (LabeledGraph, core_vertices, infinite_path_starts,
+                    window_graph, window_states)
 from .props import is_strongly_irreducible
 from .shift import Shift, equal_shifts
 
@@ -85,19 +85,13 @@ def _check_source(t: CellularAutomaton, x: Shift) -> None:
         raise AlphabetMismatch("the rule reads a different alphabet")
 
 
-def _windows(x: Shift, g: LabeledGraph, k: int):
-    """:func:`window_states` of the presentation ``g`` of ``x``, memoised
-    on the domain by the value of ``g``."""
-    return x.derived(("windows", g, k), lambda x: window_states(g, k))
-
-
 def _recode(x: Shift, g: LabeledGraph, k: int) -> list[list[tuple[int, int]]]:
-    """The :func:`window_graph` of ``g``, memoised like :func:`_windows`,
-    so a domain whose essential graph and :attr:`Shift.deterministic` are
-    equal is recoded once.  A rule maps the edge label b to
-    ``_output_ranks(t)[b]``."""
+    """The :func:`window_graph` of the presentation ``g`` of ``x``,
+    memoised on the domain by the value of ``g``, so a domain whose
+    essential graph and :attr:`Shift.deterministic` are equal is recoded
+    once.  A rule maps the edge label b to ``_output_ranks(t)[b]``."""
     return x.derived(("recode", g, k),
-                     lambda x: window_graph(g, k, _windows(x, g, k)))
+                     lambda x: window_graph(g, k, window_states(g, k)))
 
 
 @_per_domain
@@ -213,12 +207,8 @@ def _asymptotic_pair(t: CellularAutomaton, x: Shift
         return [((a, a), d1 * n + d2) for d1, a in by_src[p]
                 for d2, b in by_src[q] if a == b and tail[d1 * n + d2]]
 
-    # walked backwards, the left cycle opens the reversed path
-    back, left_period = _walk(start // n, into.__getitem__)
-    fwd, right_period = _walk(end, right)
-    labels = back[::-1] + list(zip(la, lb)) + fwd
-    wa, wb, img = _path_words(t, *zip(*labels))
-    return diamond, PointPairWitness(wa, wb, left_period, right_period, img)
+    return diamond, _point_pair(t, into.__getitem__, start // n,
+                                zip(la, lb), right, end)
 
 
 def _tail_pairs(pgr: PairGraph) -> list[bool]:
@@ -267,6 +257,19 @@ def _diamond_search(pgr: PairGraph, tail: list[bool]):
     return None
 
 
+def _point_pair(t: CellularAutomaton, into, start: int, middle, outof,
+                end: int) -> PointPairWitness:
+    """The points of the pair path ``middle``, label pairs from ``start``
+    to ``end``, extended by :func:`_walk` over ``into`` from ``start``
+    and over ``outof`` from ``end``: walked backwards, the left cycle
+    opens the reversed path."""
+    back, left_period = _walk(start, into)
+    fwd, right_period = _walk(end, outof)
+    labels = back[::-1] + list(middle) + fwd
+    wa, wb, img = _path_words(t, *zip(*labels))
+    return PointPairWitness(wa, wb, left_period, right_period, img)
+
+
 def _walk(v: int, steps) -> tuple[list[tuple[int, int]], int]:
     """From ``v``, take the least of ``steps(v)``, pairs (labels, next
     vertex), until a vertex repeats.  Returns the labels taken and the
@@ -291,7 +294,8 @@ def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
     not pre-injective is not injective, and its witness is the diamond's
     two points (:func:`_asymptotic_pair`).  Only for a pre-injective rule
     is the pair graph peeled to its bi-infinite core, where the test is
-    whether a flagged edge survives.
+    whether a flagged edge survives; the witness is the two points of a
+    bi-infinite core path through the first such edge.
     """
     _check_source(t, x)
     if x.is_empty:
@@ -306,26 +310,16 @@ def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
         flagged = [e for e in alive_edges if e[4]]
         if not flagged:
             return Decision(True, None, "point")
-        wit = _periodic_pair(alive_edges, flagged[0], t)
+        into: dict[int, list] = {}
+        outof: dict[int, list] = {}
+        for s, d, a, b, _ in alive_edges:
+            outof.setdefault(s, []).append(((a, b), d))
+            into.setdefault(d, []).append(((a, b), s))
+        s, d, a, b, _ = flagged[0]
+        wit = _point_pair(t, into.__getitem__, s, [(a, b)],
+                          outof.__getitem__, d)
     return Decision(False, wit, "point",
                     note="two distinct points with equal images")
-
-
-def _periodic_pair(alive_edges, e, t: CellularAutomaton) -> PointPairWitness:
-    """Assemble an eventually-periodic equal-image point pair through a
-    flagged edge of the bi-infinite pair core."""
-    into: dict[int, list] = {}
-    outof: dict[int, list] = {}
-    for ed in alive_edges:
-        outof.setdefault(ed[0], []).append(((ed[2], ed[3]), ed[1]))
-        into.setdefault(ed[1], []).append(((ed[2], ed[3]), ed[0]))
-    # walking backward, the cycle sits at the START of the reversed path,
-    # so the word can be extended leftward with that period
-    back, left_period = _walk(e[0], into.__getitem__)
-    fwd, right_period = _walk(e[1], outof.__getitem__)
-    labels = back[::-1] + [(e[2], e[3])] + fwd
-    wa, wb, img = _path_words(t, *zip(*labels))
-    return PointPairWitness(wa, wb, left_period, right_period, img)
 
 
 @_per_domain
@@ -348,38 +342,32 @@ def maps_into(t: CellularAutomaton, x: Shift, y: Shift) -> bool:
     """Does ``t`` map every point of ``x`` into ``y``?  Memoised on the
     rule, so each (rule, domain, target) is searched once.
 
-    Depth first over triples (v, w, q): a window state (v, w) of
-    ``x.essential`` (a vertex v and the rank w of the last k-1 labels
-    read, k the rule width) and a state q of ``y.acceptor``, from each
-    window state of :func:`window_states`, memoised on the domain, with
-    q = 0.  These are the states and words of the recoding
-    :func:`_image_graph` reads, with no recoding built.  The first move
-    ``y`` cannot make answers no."""
+    Depth first over pairs (s, q): a state s of the recoding of
+    ``x.essential`` (:func:`_recode`, the graph :func:`_image_graph`
+    relabels, built once per domain and width) and a state q of
+    ``y.acceptor``, from every (s, 0).  An edge of the recoding reading
+    the k-block b moves q by the rule's output on b; the first move ``y``
+    cannot make answers no."""
     def decide(t: CellularAutomaton) -> bool:
         _check_source(t, x)
         if t.target != y.alphabet:
             raise AlphabetMismatch(
                 f"cannot compare shifts over {t.target.compact} "
                 f"and {y.alphabet.compact}")
-        na = len(t.source)
-        m = na ** (t.width - 1)
-        out = _output_ranks(t)
+        adj, out = _recode(x, x.essential, t.width), _output_ranks(t)
         trans = y.acceptor.trans
-        adj = x.essential.out_map()
-        stack = [(v, w, 0) for v, w in _windows(x, x.essential, t.width)]
+        stack = [(s, 0) for s in range(len(adj))]
         seen = set(stack)
         while stack:
-            v, w, q = stack.pop()
+            s, q = stack.pop()
             row = trans[q]
-            for u, a in adj[v]:
-                b = w * na + a
+            for d, b in adj[s]:
                 r = row[out[b]]
                 if r == -1:
                     return False
-                s = (u, b % m, r)
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
+                if (d, r) not in seen:
+                    seen.add((d, r))
+                    stack.append((d, r))
         return True
     return t.derived(("inside", x, y), decide)
 
@@ -392,9 +380,10 @@ def image_included(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
 
     The verdict is :func:`maps_into`'s, so no image shift is built: a rule
     that leaves its domain never needs one, and a kept rule builds it once,
-    for the question that reads it.  Only a failure recodes the domain, for
-    the witness (:func:`graph_missing` on :func:`_image_graph`).  Memoised
-    on the rule, so each (rule, domain, target) is decided once."""
+    for the question that reads it.  Only a failure relabels the domain's
+    recoding, for the witness (:func:`graph_missing` on
+    :func:`_image_graph`).  Memoised on the rule, so each (rule, domain,
+    target) is decided once."""
     def decide(t: CellularAutomaton) -> Decision:
         if maps_into(t, x, y):
             return Decision(True, None, "language")

@@ -260,7 +260,7 @@ def cmd_corpus(args) -> int:
 def cmd_tiling_check(args) -> int:
     t = tiling_Z(args.k)
     print(f"stride-{args.k} tiling of the integers: tile [0,{args.k}), "
-          f"checked exactly on a window of {20 * args.k} translates")
+          f"checked exactly on a window of {20 * args.k} cells")
     d = tiling_density(t, args.n)
     print(f"window [0,{args.n}): {d.count} full tiles, density {d.ratio} "
           f"(>= 1/(2k): {_yn(d.alpha_ok)})")

@@ -207,10 +207,9 @@ def shortest_words(trans, start: int = 0) -> dict[int, tuple[int, ...]]:
     return words
 
 
-def enumerate_ranks(d: FactorialDfa, length: int,
-                    start: int = 0) -> Iterator[tuple[int, ...]]:
-    """All length-``length`` words readable from ``start``, lexicographic."""
-    level = [((), start)]
+def enumerate_ranks(d: FactorialDfa, length: int) -> Iterator[tuple[int, ...]]:
+    """All length-``length`` words of the language, lexicographic."""
+    level = [((), 0)]
     for _ in range(length):
         level = [(w + (a,), t) for w, q in level
                  for a, t in enumerate(d.trans[q]) if t != -1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import Alphabet
+from .base import Alphabet, block_digits
 from .errors import StateBlowup
 
 _PATH_CAP = 500_000  # max window states of a k-block recoding
@@ -208,11 +208,6 @@ def directed_diameter(g: LabeledGraph) -> int:
             raise ValueError("graph is not strongly connected")
         rows, k = nxt, k + 1
     return k
-
-
-def block_digits(b: int, base: int, k: int) -> tuple[int, ...]:
-    """The k symbol ranks of the block of base-``base`` rank ``b``."""
-    return tuple(b // base ** i % base for i in reversed(range(k)))
 
 
 def _label_steps(g: LabeledGraph) -> list[list[tuple[int, int]]]:

@@ -52,7 +52,8 @@ import math
 from dataclasses import dataclass
 
 from .base import ConfigurationWindow, Decision, Word
-from .dfa import FactorialDfa, backward_subsets, shortest_sync, shortest_words
+from .dfa import (FactorialDfa, _subset_step, backward_subsets, shortest_sync,
+                  shortest_words)
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, directed_diameter,
@@ -87,8 +88,7 @@ class SiCertificate:
     bridged to itself; ``L0 = n0 + len(sync word)``; ``D`` is the directed
     diameter of the synchronized strongly connected component; any gap of
     length at least ``N0_bound = L0 + 2*D`` can be filled between arbitrary
-    language words.  ``N0_min`` is the exact least uniform gap when it has
-    been computed (see :func:`minimal_gap`).
+    language words.
     """
 
     sync: SyncWitness
@@ -96,19 +96,15 @@ class SiCertificate:
     L0: int
     D: int
     N0_bound: int
-    N0_min: int | None = None
     note: str = ""
 
     def to_kv(self) -> list[tuple[str, str]]:
-        out = [("sync_word", self.sync.word.text),
-               ("l0", str(self.sync.length)),
-               ("n0", str(self.n0)),
-               ("L0", str(self.L0)),
-               ("D", str(self.D)),
-               ("N0_bound", str(self.N0_bound))]
-        if self.N0_min is not None:
-            out.append(("N0_min", str(self.N0_min)))
-        return out
+        return [("sync_word", self.sync.word.text),
+                ("l0", str(self.sync.length)),
+                ("n0", str(self.n0)),
+                ("L0", str(self.L0)),
+                ("D", str(self.D)),
+                ("N0_bound", str(self.N0_bound))]
 
 
 @dataclass(frozen=True)
@@ -188,16 +184,6 @@ def _essential_period(x: Shift) -> int:
             return 0
         return _period_levels(succ, 0)[1]
     return x.derived("essential_period", period)
-
-
-def _step_mask(mask: int, rows: list[int]) -> int:
-    """The states one move from those of ``mask``, ``rows[q]`` the mask of
-    the successors of q."""
-    out = 0
-    for q, bit in enumerate(bin(mask)[:1:-1]):  # least significant first
-        if bit == "1":
-            out |= rows[q]
-    return out
 
 
 def _reading_states_mask(d: FactorialDfa, ranks) -> int:
@@ -436,7 +422,7 @@ def _certificate(x: Shift) -> SiCertificate:
         raise NoSyncWord("sync word left the language; presentation bug")
     r_mask = _reading_states_mask(d, ranks)
     rows = [sum(1 << t for t in ts) for ts in _successors(x)]
-    n0, bad = _eventual_tail(1 << s, lambda m: _step_mask(m, rows),
+    n0, bad = _eventual_tail(1 << s, lambda m: _subset_step([rows], m)[0],
                              lambda m: not m & r_mask, _GAP_CAP,
                              "gap evolution")
     # the orbit closed within _GAP_CAP steps, so n0 <= _GAP_CAP

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import Alphabet, CellularAutomaton, table_size
+from .base import (Alphabet, CellularAutomaton, block_digits, block_rank,
+                   table_size)
 from .errors import AlphabetMismatch, ParseError
-from .graph import LabeledGraph, block_digits
+from .graph import LabeledGraph
 from .shift import Shift
 
 
@@ -180,9 +181,7 @@ def bind_ca(raw: RawCa, source: Alphabet,
             raise ParseError(
                 f"{raw.name}: rule input {intext!r} is not of length {width}",
                 lineno)
-        idx = 0
-        for r in w.ranks():
-            idx = idx * len(source) + r
+        idx = block_rank(w.ranks(), len(source))
         if table[idx] is not None:
             raise ParseError(
                 f"{raw.name}: duplicate rule for {intext!r}", lineno)

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 from .base import Word
 from .entropy import block_count, block_counts
-from .errors import CertificateMissing, NotMixing, WindowTooSmall
+from .errors import (CertificateMissing, EmptyShift, NotMixing,
+                     WindowTooSmall, WordNotInLanguage)
 from .props import si_certificate
 from .shift import Shift
 
@@ -123,10 +124,13 @@ def pattern_exclusion_bound(x: Shift, d: int, n: int,
     copies stay disjoint and inside [0, n).  With rho = |L_{|E|}|, the
     words avoiding ``pattern`` on every tile number at most
     (1 - 1/rho)^{#tiles} of all length-n words; the check is exact:
-    q * rho^t <= (rho-1)^t * c_n over the integers.
+    q * rho^t <= (rho-1)^t * c_n over the integers.  Raises EmptyShift on
+    the empty shift, WordNotInLanguage for a pattern outside L_d(x).
     """
     if d < 1:
         raise ValueError("pattern length d must be >= 1")
+    if x.is_empty:
+        raise EmptyShift("no pattern to exclude: the shift is empty")
     margin = _certificate_margin(x)
     stride = d + 2 * margin
     if n < 0:
@@ -136,7 +140,9 @@ def pattern_exclusion_bound(x: Shift, d: int, n: int,
     else:
         pattern = x.alphabet.word(pattern)
         if len(pattern) != d or not x.contains_word(pattern):
-            raise ValueError("pattern must be an allowed word of length d")
+            raise WordNotInLanguage(
+                f"pattern {pattern.text!r} is not an allowed word of "
+                f"length {d}")
     tiles = _tile_starts(n, d, margin, stride)
     rho = block_count(x, stride)
     c_n = block_count(x, n)

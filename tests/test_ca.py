@@ -899,10 +899,11 @@ class TestComputedOncePerRule:
         assert calls == {"shortest_missing": 2}
 
     def test_rejected_rule_builds_no_image(self, monkeypatch):
-        # seed 2 at memory 0..2 leaves the even shift (it writes 010): no
-        # subset construction, no image shift, no acceptor comparison, no
-        # recoding and no witness search.  A fresh domain, so no recoding
-        # memoised on it by an earlier test hides one
+        # seeds 4..13 at memory 0..2 all leave the even shift: they read
+        # one recoding of the domain, built by the first, and build no
+        # subset construction, image shift, acceptor comparison or witness
+        # search.  A fresh domain, so no recoding memoised on it by an
+        # earlier test hides the one built here
         import soficlab.ca as ca
         import soficlab.corpus as corpus
 
@@ -914,8 +915,8 @@ class TestComputedOncePerRule:
                             calls)
         monkeypatch.setattr(corpus, "image_presentation",
                             ca.image_presentation)
-        rep = run_corpus(even, 1, 2, (0, 2))
-        assert rep.skipped == 1 and rep.instances == ()
+        rep = run_corpus(even, 10, 4, (0, 2))
+        assert rep.skipped == 10 and rep.instances == ()
         assert calls == {"determinize": 0, "shortest_missing": 0,
-                         "image_presentation": 0, "window_graph": 0,
+                         "image_presentation": 0, "window_graph": 1,
                          "graph_missing": 0}

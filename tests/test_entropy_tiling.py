@@ -16,7 +16,8 @@ from soficlab import (Alphabet, Shift, block_count, block_counts,
                       FolnerWindow, tiling_Z, tiling_density,
                       pattern_exclusion_bound, positivity_lower_bound,
                       si_certificate, CapExceeded, CertificateMissing,
-                      NotSubshift, WindowTooSmall, bundled_shift,
+                      NotSubshift, WindowTooSmall, WordNotInLanguage,
+                      bundled_shift,
                       image_presentation, random_ca)
 
 from oracles import block_counts_by_extension, count_block, dense_bracket
@@ -366,9 +367,9 @@ class TestPatternExclusion:
         assert rep.holds
 
     def test_pattern_validation(self, golden):
-        with pytest.raises(ValueError):
+        with pytest.raises(WordNotInLanguage):
             pattern_exclusion_bound(golden, 2, 20, pattern="11")
-        with pytest.raises(ValueError):
+        with pytest.raises(WordNotInLanguage):
             pattern_exclusion_bound(golden, 2, 20, pattern="0")
         with pytest.raises(ValueError):
             pattern_exclusion_bound(golden, 0, 20)

@@ -325,6 +325,22 @@ class TestCliTilingLemma:
                      "--n", "10"]) == 1
         assert "CertificateMissing" in capsys.readouterr().err
 
+    def test_lemma_on_empty_shift(self, capsys, tmp_path):
+        p = tmp_path / "empty.shift"
+        p.write_text("alphabet: 0 1\nforbidden:\n0\n1\n")
+        assert main(["lemma41", "check", str(p)]) == 1
+        assert capsys.readouterr().err == \
+            "error: no pattern to exclude: the shift is empty\n"
+
+    @pytest.mark.parametrize("pattern", ["1", "11"])
+    def test_lemma_pattern_outside_the_blocks(self, capsys, pattern):
+        # "1" has the wrong length, "11" is forbidden in golden
+        assert main(["lemma41", "check", "golden", "--d", "2",
+                     "--pattern", pattern]) == 1
+        assert capsys.readouterr().err == \
+            (f"error: WordNotInLanguage: pattern {pattern!r} is not an "
+             "allowed word of length 2\n")
+
 
 class TestCliContract:
 
