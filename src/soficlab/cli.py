@@ -18,7 +18,7 @@ from .base import CellularAutomaton
 from .bundled import bundled_raw_ca, bundled_shift
 from .corpus import (classify, flag, instance_lines, run_bundled_examples,
                      run_corpus)
-from .entropy import block_counts, entropy_blocks, entropy_spectral
+from .entropy import TOL_MIN, block_counts, entropy_blocks, entropy_spectral
 from .errors import (CapExceeded, EmptyShift, NotEndomorphism, NotMixing,
                      ParseError, SoficlabError)
 from .props import (is_irreducible, is_mixing, is_strongly_irreducible,
@@ -49,7 +49,7 @@ def _bounded(kind, low, strict: bool = False):
     return parse
 
 
-_TOL = _bounded(float, 0, strict=True)
+_TOL = _bounded(float, TOL_MIN)
 
 
 def _interval(text: str) -> tuple[int, int]:

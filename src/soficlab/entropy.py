@@ -1,25 +1,29 @@
-"""Topological entropy two independent ways, with certified error bounds.
+"""Topological entropy two independent ways, with two-sided error bounds.
 
 Block-count route: exact big-integer word counts over growing windows; the
 per-length ratios log c_n / n decrease subadditively to the entropy, giving
 a rigorous upper bound, and gap certificates turn concatenation-with-fill
 into a supermultiplicative lower bound.  Spectral route: the language grows
 like the Perron root of the minimal automaton's transition count matrix;
-power iteration yields two-sided eigenvalue bounds, hence an interval
-certified to the requested tolerance.
+power iteration yields Collatz-Wielandt bounds on that root, an interval
+of the requested log-width.  Its ends are binary64 quotients of rounded
+sums, not yet checked exactly, so that interval holds the root up to
+their rounding, not with outward-rounded certainty.
 
 The power iteration never forms a matrix.  Each strongly connected
 component is read from ``acceptor.trans`` as one target array per symbol,
 with a pad slot holding 0.0 for moves that are undefined or leave the
-component, so a sweep is ``v[t_0] + v[t_1] + ...``: O(n |A|) time and
-memory where a dense block costs O(n^2).  Over two letters a row of the
-product has at most two nonzero terms, each an exact product (a count of 1
-or 2 times an entry), and a sum of two floats rounds the same in either
-order, so every summation order, a dense BLAS matvec's included, gives the
-same bits.  Over three letters a row can have three terms, summed here in
-symbol order; that order is fixed, whereas a dense matvec's depends on the
-kernel the BLAS library picks, so a bracket end may differ from a dense
-run's by an ulp.
+component, so a sweep is ``Mv = v[t_0] + v[t_1] + ...`` and one add,
+``v = Mv + v``: O(n |A|) time and memory where a dense block costs O(n^2).
+The vector is rescaled only once per batch of sweeps, and by a power of
+two, which rounds nothing; the bracket is tested once per batch.  Over two
+letters a row of the product has at most two nonzero terms, each an exact
+product (a count of 1 or 2 times an entry), and a sum of two floats rounds
+the same in either order, so every summation order, a dense BLAS matvec's
+included, gives the same bits.  Over three letters a row can have three
+terms, summed here in symbol order; that order is fixed, whereas a dense
+matvec's depends on the kernel the BLAS library picks, so a bracket end
+may differ from a dense run's by an ulp.
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ from .shift import Shift, language_included
 from .base import Decision
 
 _ITER_CAP = 200_000
-_BATCH = 8  # power sweeps per Collatz-Wielandt test
+_BATCH = 16  # power sweeps per Collatz-Wielandt test
+# the least tolerance: below it, binary64 ratios of an exact iterate can
+# coincide and give a zero-width bracket around an irrational root
+TOL_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,11 +74,12 @@ class FolnerWindow:
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """An entropy value in nats with a certified two-sided error bound.
+    """An entropy value in nats with a two-sided error bound.
 
     ``method`` is "block-count" or "spectral"; ``params`` carries the raw
     data behind the estimate (ratio sequence, bracket, iteration counts).
-    The true entropy lies within ``error_bound`` of ``value``.
+    The true entropy lies within ``error_bound`` of ``value``, for the
+    spectral route up to the rounding of its binary64 bracket ends.
     """
 
     value: float
@@ -156,47 +164,55 @@ def _component_bracket(targets: list[np.ndarray],
     ``targets`` holds one local target array per symbol (see
     :func:`_symbol_targets`); the block's matrix M has M[i][j] = the number
     of symbols taking state i to state j.  Power iteration runs on M+I
-    (primitive, so the ratios converge), normalised by the maximum after
-    each sweep.  Every iterate holds 0.0 in the pad slot, so
-    ``Mv = v[t_0] + v[t_1] + ...``, summed in symbol order, costs
-    O(n |A|) per sweep.  For every positive v,
-    min_i (Mv)_i/v_i <= root <= max_i (Mv)_i/v_i (Seneta, *Non-negative
-    Matrices and Markov Chains*, Thm 1.6), so each sweep yields a
-    certified bracket.  The ratios, pad slot left out, are taken for a
-    batch of sweeps at a time; the first sweep whose bracket has
-    log(hi) - log(lo) <= tol is the one returned, as (lo, hi, iterations).
+    (primitive, so the ratios converge).  A sweep is
+    ``Mv = v[t_0] + v[t_1] + ...``, summed in symbol order with the pad
+    slot held at 0.0, then ``v = Mv + v``: no maximum and no division.
+    After each batch of ``_BATCH`` sweeps v is scaled by a power of two,
+    which rounds nothing, so the iterates are exactly those of power
+    iteration rescaled by a power of two every sweep.  For every positive
+    v, min_i (Mv)_i/v_i <= root <= max_i (Mv)_i/v_i (Seneta, *Non-negative
+    Matrices and Markov Chains*, Thm 1.6), and in exact arithmetic these
+    brackets nest along the (M+I)-iterates.  So only a batch's last sweep
+    is tested; when its bracket has log(hi) - log(lo) <= tol the batch is
+    rescanned in order and its first such sweep is returned, as
+    (lo, hi, iterations).  The ends are binary64 quotients, not yet
+    checked exactly.
     """
-    n = len(targets[0]) - 1
     first, rest = targets[0], targets[1:]
-    v = np.ones(n + 1)
-    v[n] = 0.0
-    done = 0
+    v = np.append(np.ones(len(first) - 1), 0.0)  # the pad slot is last
+    done, width = 0, math.inf
     while done < _ITER_CAP:
-        vs, mvs = [], []
+        batch = []
         for _ in range(min(_BATCH, _ITER_CAP - done)):
             mv = v[first]
             for t in rest:
                 mv += v[t]
-            vs.append(v)
-            mvs.append(mv)
+            batch.append((v, mv))
             v = mv + v
-            v /= v.max()
-        quot = np.array(mvs)[:, :n] / np.array(vs)[:, :n]
-        for lo, hi in zip(quot.min(axis=1).tolist(),
-                          quot.max(axis=1).tolist()):
-            done += 1
-            if lo > 0 and math.log(hi) - math.log(lo) <= tol:
-                return lo, hi, done
+        # from a maximum of at most 1, entries grow at most (|A|+1)-fold a
+        # sweep, far below 2**1023 within one batch
+        v *= 2.0 ** -math.frexp(v.max())[1]
+        # the batch's last sweep, then, if it passes, the batch in order
+        for k, (u, mu) in enumerate([batch[-1], *batch]):
+            quot = mu[:-1] / u[:-1]
+            lo, hi = float(quot.min()), float(quot.max())
+            width = math.log(hi) - math.log(lo) if lo > 0 else math.inf
+            if k and width <= tol:
+                return lo, hi, done + k
+            if not k and width > tol:
+                break
+        done += len(batch)
     raise CapExceeded(
-        f"power iteration failed to certify within {_ITER_CAP} sweeps")
+        f"power iteration failed to certify within {_ITER_CAP} sweeps: "
+        f"{len(v) - 1} states, bracket width {width:.3g} > tol {tol:g}")
 
 
 def entropy_spectral(x: Shift, tol: float = 1e-9) -> EntropyEstimate:
     """Entropy as the log of the largest Perron root over the strongly
-    connected components of the minimal automaton, certified to tol.
-    Memoised on ``x`` per ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    connected components of the minimal automaton, bracketed to log-width
+    tol.  Memoised on ``x`` per ``tol``, which must be at least ``TOL_MIN``."""
+    if not tol >= TOL_MIN:
+        raise ValueError(f"tol must be >= {TOL_MIN:g}, got {tol!r}")
     return x.derived(("entropy_spectral", tol),
                      lambda y: _entropy_spectral(y, tol))
 

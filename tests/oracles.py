@@ -683,8 +683,9 @@ def count_block(trans, comp):
 
 def dense_bracket(rows, tol, cap):
     """Collatz-Wielandt bracket of the Perron root of an irreducible count
-    matrix by dense power iteration on M+I, testing every sweep:
-    (lo, hi, iterations), or None when ``cap`` sweeps do not certify."""
+    matrix by dense power iteration on M+I, testing every sweep and
+    rescaling by a power of two, which rounds nothing: (lo, hi,
+    iterations), or None when ``cap`` sweeps do not certify."""
     m = np.array(rows, dtype=float)
     v = np.ones(len(rows))
     for it in range(1, cap + 1):
@@ -694,5 +695,5 @@ def dense_bracket(rows, tol, cap):
         if lo > 0 and math.log(hi) - math.log(lo) <= tol:
             return lo, hi, it
         v = mv + v
-        v /= v.max()
+        v = np.ldexp(v, -np.frexp(v.max())[1])
     return None

@@ -147,6 +147,17 @@ class TestEntropySpectral:
         with pytest.raises(ValueError):
             entropy_spectral(golden, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [1e-13, math.nan])
+    def test_tolerance_below_binary64_resolution(self, golden, tol):
+        # golden's iterates stay exact, so at such a tol its binary64
+        # ratios could coincide: a zero-width bracket of an irrational root
+        with pytest.raises(ValueError, match="^tol must be >= 1e-12"):
+            entropy_spectral(golden, tol=tol)
+
+    def test_least_tolerance_runs(self, golden):
+        lo, hi = entropy_spectral(golden, tol=entropy.TOL_MIN).params["bracket"]
+        assert lo < hi
+
 
 @st.composite
 def blocks(draw, letters):
@@ -206,8 +217,20 @@ class TestPerronKernel:
             mp.setattr(entropy, "_ITER_CAP", needed - 1)
             with pytest.raises(CapExceeded, match=(
                     f"^power iteration failed to certify within "
-                    f"{needed - 1} sweeps$")):
+                    f"{needed - 1} sweeps: {len(comp)} states, "
+                    rf"bracket width (inf|\d\S*) > tol {tol:g}$")):
                 sparse_bracket(trans, comp, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(blocks(2), blocks(3)))
+    def test_batch_size_cannot_move_a_result(self, block):
+        trans, comp, tol = block
+        results = set()
+        with pytest.MonkeyPatch.context() as mp:
+            for size in (1, 7, 16):
+                mp.setattr(entropy, "_BATCH", size)
+                results.add(sparse_bracket(trans, comp, tol))
+        assert len(results) == 1
 
     def test_wide_rule_image(self):
         # full2, memory 0..4, seed 66: a 4450-state image whose dense

@@ -123,6 +123,12 @@ class TestCliShift:
         assert "#: cert_N0_bound 3" in out
         assert "#: entropy_spectral 0.481211824956 2.32559e-10" in out
 
+    def test_least_tolerance(self, capsys):
+        # the least accepted tol still brackets golden's root with width
+        assert main(["shift", "analyze", "golden", "--tol", "1e-12"]) == 0
+        out = capsys.readouterr().out
+        assert "#: entropy_spectral 0.48121182506 1.05305e-13" in out
+
     def test_suffix_form_matches_bare_name(self, capsys):
         assert main(["shift", "analyze", "even.shift"]) == 0
         a = machine_lines(capsys.readouterr().out)
@@ -357,6 +363,7 @@ class TestCliContract:
     @pytest.mark.parametrize("argv", [
         "shift analyze golden --n-max 1",
         "shift analyze golden --tol 0",
+        "shift analyze golden --tol 1e-13",
         "shift analyze golden --table -1",
         "shift analyze golden --minimal-gap -3",
         "shift entropy golden --n-max 0",
