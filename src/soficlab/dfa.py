@@ -316,26 +316,32 @@ def shortest_sync(trans, states) -> tuple[tuple[int, ...], int] | None:
     return None
 
 
+def preimage_cols(d: FactorialDfa) -> np.ndarray:
+    """``cols[a][q]``: the a-successor of state q, where undefined moves
+    and the sentinel state n itself go to n.  For a set of states held as
+    a bool array with a trailing sentinel slot (always False), ``cur[col_a]``
+    is the a-preimage of ``cur``."""
+    n = d.n_states
+    cols = np.array(d.trans + ((n,) * len(d.alphabet),), dtype=np.intp).T
+    cols[cols == -1] = n
+    return cols
+
+
 def backward_subsets(d: FactorialDfa) -> list[tuple[int, tuple[int, ...]]]:
     """All sets of the form {q : word readable from q}, as bitmasks over
     the states, with a shortest representative word for each.
 
     Starts from the full state set (the empty word) and closes under
     per-symbol preimage, breadth first: the set for a word a·v is the
-    a-preimage of the set for v.  A set is a bool array with one trailing
-    sentinel slot (always False), and the a-preimage of ``cur`` is
-    ``cur[col_a]``, where ``col_a[q]`` is the a-successor of q, or the
-    sentinel when undefined.  Every set in the family is nonempty and its
-    representative word is in the language (the family's sets are exactly
-    the readable words' state sets, and readable-from-somewhere means in
-    the language for a factor-closed acceptor).  CapExceeded when the
-    family passes ``_STATE_CAP`` sets.
+    a-preimage of the set for v, read through :func:`preimage_cols`.  Every
+    set in the family is nonempty and its representative word is in the
+    language (the family's sets are exactly the readable words' state
+    sets, and readable-from-somewhere means in the language for a
+    factor-closed acceptor).  CapExceeded when the family passes
+    ``_STATE_CAP`` sets.
     """
     n = d.n_states
-    # cols[a][q] is the a-successor of q; undefined moves and the sentinel
-    # state n itself go to n
-    cols = np.array(d.trans + ((n,) * len(d.alphabet),), dtype=np.intp).T
-    cols[cols == -1] = n
+    cols = preimage_cols(d)
     full = np.ones(n + 1, dtype=bool)
     full[n] = False
     sets, words = [full], [()]

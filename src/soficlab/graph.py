@@ -173,18 +173,6 @@ def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def successor_rows(rows, succ) -> tuple[int, ...]:
-    """One step of row evolution over bitmask rows: entry v is the OR of
-    ``rows[t]`` over the vertices t in ``succ[v]``."""
-    out = []
-    for ts in succ:
-        m = 0
-        for t in ts:
-            m |= rows[t]
-        out.append(m)
-    return tuple(out)
-
-
 def directed_diameter(g: LabeledGraph) -> int:
     """Max over ordered vertex pairs of the shortest directed path length.
 
@@ -200,10 +188,15 @@ def directed_diameter(g: LabeledGraph) -> int:
     for s, d, _ in g.edges:
         succ[s].add(d)
     full = (1 << n) - 1
-    rows = tuple(1 << v for v in range(n))
+    rows = [1 << v for v in range(n)]
     k = 0
     while rows.count(full) < n:
-        nxt = successor_rows(rows, succ)
+        nxt = []
+        for ts in succ:
+            m = 0
+            for t in ts:
+                m |= rows[t]
+            nxt.append(m)
         if nxt == rows:
             raise ValueError("graph is not strongly connected")
         rows, k = nxt, k + 1

@@ -27,9 +27,13 @@ from one breadth-first search inside it.
 
 Uniform-gap questions quantify over infinitely many word pairs and gap
 lengths; both quantifiers are made finite here.  Word pairs matter only
-through (state after u, set of states reading v), and the per-gap-length
-reachability data evolves through a finite space, so it is eventually
-periodic; detecting the cycle turns "for all N >= N0" into an exact check.
+through (state after u, set of states reading v), and every such set holds
+an inclusion-minimal one, so gap k fails iff some state reaches some
+minimal backward set by no word of length k.  The minimal gap evolves one
+row per minimal set, the states from which a word of the current length
+leads into it, by per-symbol preimage; the rows live in a finite space,
+so they are eventually periodic, and detecting the cycle turns "for all
+N >= N0" into an exact check.
 
 Each invariant is computed once per Shift and memoised on it (see
 :meth:`Memo.derived`): the period of the essential graph when it is
@@ -38,12 +42,10 @@ its moves reads, its condensation (strongly connected components, whose
 sink irreducibility, mixing, the synchronized cover and spectral entropy
 read), the joinability data (backward family and its minimal sets), the
 irreducibility verdict, the synchronized cover, the mixing report and the
-gap certificate.  All state sets are bitmasks.  The backward family comes
-from vectorised preimages (:func:`backward_subsets`).  The gap evolution
-ORs successor rows, one step per gap length, and tests each distinct row
-once, against the inclusion-minimal backward sets; only a row that misses
-one scans the family in order for its witness.  The cover diameter evolves
-rows the same way (:func:`directed_diameter`).
+gap certificate.  State sets are bitmasks, but the backward family and
+the gap evolution step bool arrays by vectorised preimages
+(:func:`preimage_cols`).  The cover diameter ORs successor rows
+(:func:`directed_diameter`).
 """
 
 from __future__ import annotations
@@ -51,13 +53,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .base import ConfigurationWindow, Decision, Word
-from .dfa import (FactorialDfa, _subset_step, backward_subsets, shortest_sync,
-                  shortest_words)
+from .dfa import (FactorialDfa, _subset_step, backward_subsets, preimage_cols,
+                  shortest_sync, shortest_words)
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, directed_diameter,
-                    strongly_connected_components, successor_rows)
+                    strongly_connected_components)
 from .shift import Shift
 
 _GAP_CAP = 256
@@ -229,35 +233,29 @@ class _Joinability:
     """Per-shift data behind every "does some word join u to v" question.
 
     ``family`` pairs each backward reading set (as a bitmask) with its
-    shortest representative word.  :meth:`miss` answers "which backward
-    set does this mask miss" once per distinct mask.  It first tests the
-    mask against the inclusion-minimal sets of the family (``minimal``):
-    every set contains a minimal one, so a mask that meets them all meets
-    every set.  Only a failing mask scans the family in order for its
-    first missed set.
+    shortest representative word; ``minimal`` keeps the pairs whose sets
+    are inclusion-minimal in the family, in family order.  Every set
+    contains a minimal one, so a mask that meets them all meets every set.
     """
 
-    __slots__ = ("family", "minimal", "_misses")
+    __slots__ = ("family", "minimal")
 
     def __init__(self, x: Shift):
         self.family = backward_subsets(x.acceptor)
         # by size, so a set is kept unless a smaller kept set lies inside it
-        minimal: list[int] = []
+        kept: set[int] = set()
         for r in sorted((r for r, _ in self.family), key=int.bit_count):
-            if all(k & ~r for k in minimal):
-                minimal.append(r)
-        self.minimal = minimal
-        self._misses: dict[int, tuple[int, ...] | None] = {}
+            if all(k & ~r for k in kept):
+                kept.add(r)
+        self.minimal = [(r, v) for r, v in self.family if r in kept]
 
     def miss(self, mask: int) -> tuple[int, ...] | None:
         """Representative word of the first backward set (family order)
-        disjoint from ``mask``, or None when ``mask`` meets every one."""
-        misses = self._misses
-        if mask not in misses:
-            meets_all = all(mask & k for k in self.minimal)
-            misses[mask] = None if meets_all else next(
-                v for r, v in self.family if not mask & r)
-        return misses[mask]
+        disjoint from ``mask``, or None when ``mask`` meets every one.
+        Only a mask that misses a minimal set scans the family."""
+        if all(mask & r for r, _ in self.minimal):
+            return None
+        return next(v for r, v in self.family if not mask & r)
 
 
 def _joinability(x: Shift) -> _Joinability:
@@ -453,32 +451,52 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     """Exact least N0 such that every pair of language words can be bridged
     by a word of every length >= N0.
 
-    All pairs are covered by quantifying over (state after u) x (backward
-    reading set of v); the joint per-state reachability data is evolved
-    until it cycles, which decides the tail quantifier exactly.  Raises
-    NotMixing when no uniform gap exists, CapExceeded past the cap.
+    A pair (u, v) matters only through the state s after u and the set of
+    states reading v, which holds a minimal backward set B_i; so gap k
+    fails iff s lies outside some row P_k[i], the states from which a word
+    of length k leads into B_i.  The m rows, one per minimal set, start at
+    the sets and step by per-symbol preimage; the stack is keyed by its
+    packed rows, m bytes per 8 states, and evolved until it repeats, which
+    decides the tail quantifier exactly.  It is a function of the per-state
+    forward rows ("states reached from s") and fails at the same gap
+    lengths, so n0 is theirs and its orbit closes no later than theirs.
+
+    Raises NotMixing when a gap t of the cycle fails: s is the least state
+    missing from a row at t, u its (length, lex)-least word, and v the word
+    of the first minimal set, in family order, that s misses.  The stack
+    repeats with the cycle's period, so u w v is outside the language for
+    every |w| = t + k*period.  CapExceeded when the orbit takes more than
+    4*search_cap + 64 steps, or when n0 exceeds ``search_cap``.
     """
     if x.is_empty:
         raise EmptyShift("no uniform gap: the empty shift admits no fills")
-    data = _joinability(x)
-    # rows[s] = states reached from s by words of the current length; one
-    # more letter ORs the rows of the successors of s
-    succ = _successors(x)
+    d, minimal = x.acceptor, _joinability(x).minimal
+    n, m = d.n_states, len(minimal)
+    width = n // 8 + 1  # bytes a row of n states and the sentinel takes
+    cols = preimage_cols(d)
 
-    def failing(step: tuple) -> tuple[int, tuple[int, ...]] | None:
-        for s, m in enumerate(step):
-            v = data.miss(m)
-            if v is not None:
-                return s, v
-        return None
+    # one more letter: each row becomes the union of its preimages
+    def step(key: bytes) -> bytes:
+        rows = np.unpackbits(np.frombuffer(key, np.uint8).reshape(m, width),
+                             axis=1, count=n + 1, bitorder="little")
+        return np.packbits(rows.view(bool)[:, cols].any(axis=1), axis=1,
+                           bitorder="little").tobytes()
 
+    # every row full: each state reaches each minimal set at this length
+    full = ((1 << n) - 1).to_bytes(width, "little") * m
+    start = b"".join(r.to_bytes(width, "little") for r, _ in minimal)
     hard_cap = 4 * search_cap + 64
-    n0, bad = _eventual_tail(tuple(1 << s for s in range(len(succ))),
-                             lambda rows: successor_rows(rows, succ), failing,
+    n0, bad = _eventual_tail(start, step,
+                             lambda key: key if key != full else None,
                              hard_cap, "joint gap evolution")
     if bad is not None:
-        t, (s, v), period = bad
-        u = x.alphabet.word_from_ranks(shortest_words(x.acceptor.trans)[s])
+        t, key, period = bad
+        # per row, the states missing from it
+        missing = [(1 << n) - 1 & ~int.from_bytes(
+            key[i * width:(i + 1) * width], "little") for i in range(m)]
+        s = min((h & -h).bit_length() - 1 for h in missing if h)
+        v = next(w for h, (_, w) in zip(missing, minimal) if h >> s & 1)
+        u = x.alphabet.word_from_ranks(shortest_words(d.trans)[s])
         raise NotMixing(
             f"no uniform gap: u={u.text!r} cannot reach "
             f"v={x.alphabet.word_from_ranks(v).text!r} at gap {t} "

@@ -12,8 +12,10 @@ one-sided peels and per-symbol gathers), with one exception: the equal-label ver
 are found by a count-down peel, the idea of the one-sided peels, run on
 pairs of the origin graph, which the package never builds.  The gap
 oracles :func:`minimal_gap_bruteforce`, :func:`gap_failure_pair` and the
-layers under them, and the reach oracles :func:`irreducible_by_reach`,
-:func:`unjoinable` and :func:`sink_period`, read the minimal acceptor;
+layers under them, :func:`gap_by_row_orbit` (one forward row per state,
+where the package evolves one preimage row per minimal backward set), and
+the reach oracles :func:`irreducible_by_reach`, :func:`unjoinable` and
+:func:`sink_period`, read the minimal acceptor;
 :func:`origin_contains`, and the word lists, block counts and
 :func:`fill_exists` built on it, read only the description the shift was
 built from, so they also check canonicalization itself.  :func:`linear_ca`
@@ -387,6 +389,37 @@ def gap_failure_pair(x, max_word_len, probe=None):
             if not (feas[-1] and feas[-2]):
                 return u, v
     return None
+
+
+NOT_MIXING = "not mixing"
+
+
+def gap_by_row_orbit(x, cap):
+    """The least uniform gap N0 by forward rows on frozensets: row s at
+    step k holds the states reached from acceptor state s by words of
+    length k, and gap k fails when some row misses some set of
+    :func:`backward_family`.  The row tuple lives in a finite space, so it
+    is evolved until a tuple repeats; from there it cycles.  Returns N0,
+    NOT_MIXING when a gap of the cycle fails, or None when no tuple
+    repeats within ``cap`` steps."""
+    trans = x.acceptor.trans
+    family = [fs for fs, _ in backward_family(x.acceptor)]
+    rows = tuple(frozenset([s]) for s in range(len(trans)))
+    index: dict[tuple, int] = {}
+    fails: list[bool] = []
+    while rows not in index:
+        if len(fails) > cap:
+            return None
+        index[rows] = len(fails)
+        fails.append(any(not row & fs for row in rows for fs in family))
+        rows = tuple(frozenset(t for q in row for t in trans[q] if t != -1)
+                     for row in rows)
+    if any(fails[index[rows]:]):
+        return NOT_MIXING
+    n0 = index[rows]
+    while n0 and not fails[n0 - 1]:
+        n0 -= 1
+    return n0
 
 
 def missing_preimage(t, x, y, max_len):

@@ -183,7 +183,7 @@ def sparse_bracket(trans, comp, tol):
         entropy._symbol_targets(trans, comp), tol)
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPerronKernel:
     """The per-symbol kernel against dense power iteration, with numpy
     warnings (such as 0/0 in the pad slot) raised as errors."""

@@ -7,6 +7,7 @@ refinement, the peel that removes nothing) against a suffix-scan block
 graph and table filling."""
 
 import itertools
+import re
 import time
 
 import pytest
@@ -14,24 +15,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soficlab import (Alphabet, LabeledGraph, Shift, equal_shifts,
-                      is_irreducible)
+                      is_irreducible, minimal_gap)
 from soficlab import dfa
 from soficlab.ca import image_presentation, is_pre_injective, random_ca
 from soficlab.cli import main
 from soficlab.dfa import (_STATE_CAP, FactorialDfa, backward_subsets,
                           determinize, minimize, shortest_sync, word_counts)
-from soficlab.errors import CapExceeded, StateBlowup
+from soficlab.errors import CapExceeded, NotMixing, StateBlowup
 from soficlab.graph import (core_vertices, directed_diameter, essentialize,
                             follower_reduce, infinite_path_starts,
                             refine_classes)
 from soficlab.props import _Joinability
 from soficlab.shift import SftSpec
 
-from oracles import (_sft_steps, backward_family, common_extension,
-                     core_by_two_sided_peel, diameter_by_bfs, first_missed,
-                     nerode_classes, origin_contains, reach_core_by_closure,
-                     reachable_states, sft_graph_by_suffix_scan,
-                     sync_word_by_levels, word_image)
+from oracles import (NOT_MIXING, _sft_steps, backward_family,
+                     common_extension, core_by_two_sided_peel,
+                     diameter_by_bfs, fill_exists, first_missed,
+                     gap_by_row_orbit, nerode_classes, origin_contains,
+                     reach_core_by_closure, reachable_states,
+                     sft_graph_by_suffix_scan, sync_word_by_levels,
+                     word_image)
 
 _ALPHABETS = {k: Alphabet(tuple(str(a) for a in range(k))) for k in (2, 3)}
 _MULTI = Alphabet(("a", "bb"))
@@ -308,8 +311,9 @@ def plain_graphs(draw):
 class TestJoinabilityKernels:
     """The bitmask kernels against transparent oracles: a frozenset closure
     for the backward family, words tried one by one for the sync search,
-    the full ordered scan for the gap test, and one breadth-first search
-    per source for the diameter."""
+    the full ordered scan for the gap test, forward rows per state for the
+    gap evolution, and one breadth-first search per source for the
+    diameter."""
 
     @given(st.one_of(partial_dfas(), shifts.map(lambda x: x.acceptor)))
     @settings(max_examples=80, deadline=None)
@@ -355,6 +359,27 @@ class TestJoinabilityKernels:
         for m in masks:
             assert j.miss(m) == first_missed(family, m), bin(m)
         assert j.miss(0) == ()
+
+    @given(shifts.filter(lambda x: not x.is_empty))
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_gap(self, x):
+        expected = gap_by_row_orbit(x, 4 * 256 + 64)
+        assert expected is not None
+        if expected != NOT_MIXING:
+            assert minimal_gap(x) == expected
+            return
+        with pytest.raises(NotMixing) as exc:
+            minimal_gap(x)
+        u, v, t, p = re.fullmatch(
+            r"no uniform gap: u='(\w*)' cannot reach v='(\w*)' at gap "
+            r"(\d+) \(recurs with period (\d+)\)", str(exc.value)).groups()
+        t, p = int(t), int(p)
+        assert origin_contains(x, x.word(u).ranks())
+        assert origin_contains(x, x.word(v).ranks())
+        # the witness pair fails at every gap t + k*period
+        for gap in (t, t + p, t + 2 * p):
+            if len(x.alphabet) ** gap <= 4096:
+                assert not fill_exists(x, u, v, gap), gap
 
     @given(plain_graphs())
     @settings(max_examples=150, deadline=None)
