@@ -9,11 +9,12 @@ the class itself only enforces shape and reachability.
 All words at this layer are tuples of symbol ranks.  The typed Word wrappers
 live one level up.
 
-A set of states (or of graph vertices) is an int bitmask, and every subset
-search here (the subset construction, the least word a graph reads and an
-acceptor does not, the shortest synchronizing word) moves such a mask by
-one symbol with the one step :func:`_subset_step`.  The caps on the
-searches that can blow up are module constants, read at call time.
+Every forward subset search here (the subset construction, the least word
+a graph reads and an acceptor does not, the shortest synchronizing word)
+moves an int bitmask of states by one symbol with :func:`_subset_step`;
+backward questions step bool rows through :func:`preimage_cols`.  The
+caps on the searches that can blow up are module constants, read at call
+time.
 """
 
 from __future__ import annotations
@@ -71,17 +72,17 @@ class FactorialDfa:
     def n_states(self) -> int:
         return len(self.trans)
 
-    def state_after(self, ranks, start: int = 0) -> int:
+    def state_after(self, ranks) -> int:
         """End state of the run, or -1 if it falls off."""
-        q = start
+        q = 0
         for a in ranks:
             q = self.trans[q][a]
             if q == -1:
                 return -1
         return q
 
-    def defined(self, ranks, start: int = 0) -> bool:
-        return self.state_after(ranks, start) != -1
+    def defined(self, ranks) -> bool:
+        return self.state_after(ranks) != -1
 
     def __repr__(self) -> str:
         return f"FactorialDfa({self.n_states} states over {self.alphabet.compact})"

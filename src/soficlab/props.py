@@ -37,14 +37,16 @@ N >= N0" into an exact check.
 
 Each invariant is computed once per Shift and memoised on it (see
 :meth:`Memo.derived`): the period of the essential graph when it is
-strongly connected, the acceptor's successor table, which every pass over
-its moves reads, its condensation (strongly connected components, whose
-sink irreducibility, mixing, the synchronized cover and spectral entropy
-read), the joinability data (backward family and its minimal sets), the
-irreducibility verdict, the synchronized cover, the mixing report and the
-gap certificate.  State sets are bitmasks, but the backward family and
-the gap evolution step bool arrays by vectorised preimages
-(:func:`preimage_cols`).  The cover diameter ORs successor rows
+strongly connected, the acceptor's successor and preimage tables, which
+the passes over its moves read, its condensation (strongly connected
+components, whose sink irreducibility, mixing, the synchronized cover and
+spectral entropy read), the joinability data (backward family and its
+minimal sets), the irreducibility verdict, the synchronized cover, the
+mixing report and the gap certificate.  Every gap question asks which
+states have a word of length k into a set, held as a bool row with a
+False sentinel slot; one more letter (:func:`_orbit`) makes each row the
+union of its per-symbol preimages.  The backward family and the sink stay
+bitmasks, and the cover diameter ORs successor rows
 (:func:`directed_diameter`).
 """
 
@@ -56,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ConfigurationWindow, Decision, Word
-from .dfa import (FactorialDfa, _subset_step, backward_subsets, preimage_cols,
-                  shortest_sync, shortest_words)
+from .dfa import (backward_subsets, preimage_cols, shortest_sync,
+                  shortest_words)
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, directed_diameter,
@@ -190,43 +192,56 @@ def _essential_period(x: Shift) -> int:
     return x.derived("essential_period", period)
 
 
-def _reading_states_mask(d: FactorialDfa, ranks) -> int:
-    """Bitmask of states from which the whole word is readable."""
-    mask = 0
-    for q in range(d.n_states):
-        if d.defined(ranks, start=q):
-            mask |= 1 << q
-    return mask
+def _preimage_cols(x: Shift) -> np.ndarray:
+    """:func:`preimage_cols` of the acceptor; memoised on ``x``."""
+    return x.derived("preimage_cols", lambda y: preimage_cols(y.acceptor))
 
 
-def _eventual_tail(state, step, failure, cap: int, what: str):
-    """Least n0 such that ``failure`` is falsy at every step n >= n0 of the
-    orbit state, step(state), ...
+def _reading_row(cols: np.ndarray, ranks) -> np.ndarray:
+    """The states that can read the word, as a bool row with the False
+    sentinel slot: the full row, preimaged by each symbol from the last."""
+    row = np.arange(cols.shape[1]) < cols.shape[1] - 1
+    for a in reversed(ranks):
+        row = row[cols[a]]
+    return row
 
-    The orbit lives in a finite space, so it is evolved until a value
-    repeats (CapExceeded, naming ``what``, when that takes over ``cap``
-    steps); from then on it cycles.  A failure inside the cycle recurs
-    forever: the result is then (None, (n, failure, period)) for the first
-    failing step n of the cycle.  Otherwise it is (n0, None), walking back
-    from the start of the cycle over the passing steps.
+
+def _orbit(cols: np.ndarray, rows: np.ndarray, size: int):
+    """``rows`` (a stack, or a lone row) and its images, a step per letter
+    making each row the union of its per-symbol preimages, until one
+    repeats or ``size`` are kept: (history, pre), where the next step
+    gives ``history[pre]`` again, or pre = size when it is new."""
+    seen: dict[bytes, int] = {}
+    history: list[np.ndarray] = []
+    while (key := np.packbits(rows, axis=-1,
+                              bitorder="little").tobytes()) not in seen:
+        if len(history) == size:
+            return history, size
+        seen[key] = len(history)
+        history.append(rows)
+        rows = rows[..., cols].any(axis=-2)
+    return history, seen[key]
+
+
+def _gap_tail(cols: np.ndarray, rows: np.ndarray, watch, cap: int,
+              what: str):
+    """Least n0 such that for every k >= n0 each row of ``rows``, k letters
+    on in its orbit (:func:`_orbit`), holds every state ``watch`` indexes.
+
+    The rows live in a finite space, so the orbit cycles (CapExceeded,
+    naming ``what``, when it takes over ``cap`` steps to close).  A
+    failure inside the cycle recurs forever: the result is then (None, (t,
+    rows at t, period)) for its first failing step t.  Otherwise it is
+    (n0, None), one past the last failing step before the cycle.
     """
-    seen: dict = {}
-    history: list = []
-    while state not in seen:
-        if len(history) > cap:
-            raise CapExceeded(f"{what} did not close within {cap} steps")
-        seen[state] = len(history)
-        history.append(state)
-        state = step(state)
-    pre = seen[state]
-    fails = list(map(failure, history))
-    for n in range(pre, len(history)):
-        if fails[n]:
-            return None, (n, fails[n], len(history) - pre)
-    n0 = pre
-    while n0 > 0 and not fails[n0 - 1]:
-        n0 -= 1
-    return n0, None
+    history, pre = _orbit(cols, rows, cap + 1)
+    if pre == len(history):
+        raise CapExceeded(f"{what} did not close within {cap} steps")
+    fails = ~np.array(history)[..., watch].reshape(len(history), -1).all(1)
+    t = next((t for t in range(pre, len(history)) if fails[t]), None)
+    if t is not None:
+        return None, (t, history[t], len(history) - pre)
+    return max((k + 1 for k in range(pre) if fails[k]), default=0), None
 
 
 class _Joinability:
@@ -401,7 +416,9 @@ def _mixing(x: Shift) -> MixingReport:
 
 def si_certificate(x: Shift) -> SiCertificate:
     """Uniform-gap certificate from the sync word, its self-gap floor, and
-    the cover diameter.  Requires a mixing shift.  Memoised on ``x``."""
+    the cover diameter.  Requires a mixing shift.  Memoised on ``x``.
+    The self-gap evolves the sync word's reading row (:func:`_gap_tail`):
+    gap k fails iff the state after the sync word drops out of it."""
     return x.derived("certificate", _certificate)
 
 
@@ -418,11 +435,9 @@ def _certificate(x: Shift) -> SiCertificate:
     s = d.state_after(ranks)
     if s == -1:
         raise NoSyncWord("sync word left the language; presentation bug")
-    r_mask = _reading_states_mask(d, ranks)
-    rows = [sum(1 << t for t in ts) for ts in _successors(x)]
-    n0, bad = _eventual_tail(1 << s, lambda m: _subset_step([rows], m)[0],
-                             lambda m: not m & r_mask, _GAP_CAP,
-                             "gap evolution")
+    cols = _preimage_cols(x)
+    n0, bad = _gap_tail(cols, _reading_row(cols, ranks), s, _GAP_CAP,
+                        "gap evolution")
     # the orbit closed within _GAP_CAP steps, so n0 <= _GAP_CAP
     if bad is not None:
         raise NotMixing(f"sync word cannot be self-bridged at gap {bad[0]}")
@@ -455,11 +470,10 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     states reading v, which holds a minimal backward set B_i; so gap k
     fails iff s lies outside some row P_k[i], the states from which a word
     of length k leads into B_i.  The m rows, one per minimal set, start at
-    the sets and step by per-symbol preimage; the stack is keyed by its
-    packed rows, m bytes per 8 states, and evolved until it repeats, which
-    decides the tail quantifier exactly.  It is a function of the per-state
-    forward rows ("states reached from s") and fails at the same gap
-    lengths, so n0 is theirs and its orbit closes no later than theirs.
+    the reading rows of the sets' words and step by :func:`_orbit`; the
+    stack is keyed by its packed rows, m bytes per 8 states, and evolved
+    until it repeats (:func:`_gap_tail`), which decides the tail
+    quantifier exactly.
 
     Raises NotMixing when a gap t of the cycle fails: s is the least state
     missing from a row at t, u its (length, lex)-least word, and v the word
@@ -471,31 +485,15 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     if x.is_empty:
         raise EmptyShift("no uniform gap: the empty shift admits no fills")
     d, minimal = x.acceptor, _joinability(x).minimal
-    n, m = d.n_states, len(minimal)
-    width = n // 8 + 1  # bytes a row of n states and the sentinel takes
-    cols = preimage_cols(d)
-
-    # one more letter: each row becomes the union of its preimages
-    def step(key: bytes) -> bytes:
-        rows = np.unpackbits(np.frombuffer(key, np.uint8).reshape(m, width),
-                             axis=1, count=n + 1, bitorder="little")
-        return np.packbits(rows.view(bool)[:, cols].any(axis=1), axis=1,
-                           bitorder="little").tobytes()
-
-    # every row full: each state reaches each minimal set at this length
-    full = ((1 << n) - 1).to_bytes(width, "little") * m
-    start = b"".join(r.to_bytes(width, "little") for r, _ in minimal)
-    hard_cap = 4 * search_cap + 64
-    n0, bad = _eventual_tail(start, step,
-                             lambda key: key if key != full else None,
-                             hard_cap, "joint gap evolution")
+    n, cols = d.n_states, _preimage_cols(x)
+    rows = np.array([_reading_row(cols, v) for _, v in minimal])
+    n0, bad = _gap_tail(cols, rows, slice(n), 4 * search_cap + 64,
+                        "joint gap evolution")
     if bad is not None:
-        t, key, period = bad
-        # per row, the states missing from it
-        missing = [(1 << n) - 1 & ~int.from_bytes(
-            key[i * width:(i + 1) * width], "little") for i in range(m)]
-        s = min((h & -h).bit_length() - 1 for h in missing if h)
-        v = next(w for h, (_, w) in zip(missing, minimal) if h >> s & 1)
+        t, rows, period = bad
+        missing = ~rows[:, :n]
+        s = int(missing.any(axis=0).argmax())
+        v = minimal[int(missing[:, s].argmax())][1]
         u = x.alphabet.word_from_ranks(shortest_words(d.trans)[s])
         raise NotMixing(
             f"no uniform gap: u={u.text!r} cannot reach "
@@ -509,40 +507,38 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
 def gap_witness(x: Shift, u, v, gap: int) -> Word | None:
     """A word w of length ``gap`` with uwv in the language, or None.
 
-    Found by layered reachability between the state after u and the states
-    reading v; among witnesses the lexicographically least is returned.
+    Layer i holds the states with a word of length i into the states
+    reading v: the reading row of v, i letters on in its orbit
+    (:func:`_orbit`), which is kept only until it repeats.  A fill exists
+    iff the state after u lies in layer ``gap``; the walk from it takes, at
+    each letter, the least symbol into the layer below, so among witnesses
+    the lexicographically least is returned.
     """
     if gap < 0:
         raise ValueError("gap must be >= 0")
     u = x.alphabet.word(u)
     v = x.alphabet.word(v)
-    d = x.acceptor
+    d, cols = x.acceptor, _preimage_cols(x)
     s = d.state_after(u.ranks())
     if s == -1:
         raise WordNotInLanguage(f"{u.text!r} is not in the language")
-    v_ranks = v.ranks()
-    if not d.defined(v_ranks):
+    layers, pre = _orbit(cols, _reading_row(cols, v.ranks()), gap + 1)
+    # state 0 reads every word of the language
+    if not layers[0][0]:
         raise WordNotInLanguage(f"{v.text!r} is not in the language")
-    succ = _successors(x)
-    # backward feasibility layers: states that can still reach the states
-    # reading v; a state is feasible when one of its successors is
-    feasible = [0] * (gap + 1)
-    feasible[gap] = _reading_states_mask(d, v_ranks)
-    for i in range(gap - 1, -1, -1):
-        nxt = feasible[i + 1]
-        feasible[i] = sum(1 << q for q, ts in enumerate(succ)
-                          if any(nxt >> t & 1 for t in ts))
-    if not feasible[0] & (1 << s):
+
+    def layer(i: int) -> np.ndarray:
+        # past the orbit's end the layers repeat its cycle
+        return layers[i if i < pre else pre + (i - pre) % (len(layers) - pre)]
+
+    if not layer(gap)[s]:
         return None
     out = []
-    q = s
-    for i in range(gap):
-        for a in range(len(x.alphabet)):
-            t = d.trans[q][a]
-            if t != -1 and feasible[i + 1] & (1 << t):
-                out.append(a)
-                q = t
-                break
+    for i in range(gap - 1, -1, -1):
+        # the least symbol into the layer; undefined moves hit the sentinel
+        a = int(layer(i)[cols[:, s]].argmax())
+        out.append(a)
+        s = int(cols[a, s])
     return x.alphabet.word_from_ranks(out)
 
 

@@ -49,7 +49,6 @@ def parse_shift_text(text: str, name: str = "<text>") -> Shift:
     mode: str | None = None
     forbidden: list = []
     edges: list[tuple[int, int, int]] = []
-    n_vertices = 0
     for lineno, line in _lines(text):
         if line.startswith("alphabet:"):
             if alphabet is not None:
@@ -94,19 +93,36 @@ def parse_shift_text(text: str, name: str = "<text>") -> Shift:
             except AlphabetMismatch as exc:
                 raise ParseError(f"{name}: {exc}", lineno) from None
             edges.append((s, d, a))
-            n_vertices = max(n_vertices, s + 1, d + 1)
     if alphabet is None:
         raise ParseError(f"{name}: missing alphabet line")
     if mode is None:
         raise ParseError(f"{name}: missing 'forbidden:' or 'graph:' section")
     if mode == "forbidden":
         return Shift.from_forbidden(alphabet, tuple(forbidden))
-    return Shift.from_graph(LabeledGraph(alphabet, n_vertices, tuple(edges)))
+    # the ids that occur, numbered densely in sorted order (the identity
+    # when they are 0..n-1), so one large id costs no more than a small one
+    ids = {v: i for i, v in enumerate(sorted(
+        {v for s, d, _ in edges for v in (s, d)}))}
+    return Shift.from_graph(LabeledGraph(alphabet, len(ids), tuple(
+        (ids[s], ids[d], a) for s, d, a in edges)))
+
+
+def _read(path) -> str:
+    """The UTF-8 text of the file at ``path``; ParseError, naming it, when
+    it cannot be read (a directory, say, or bytes that are not UTF-8)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(
+            f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
 
 
 def parse_shift_file(path) -> Shift:
-    with open(path, encoding="utf-8") as fh:
-        return parse_shift_text(fh.read(), name=str(path))
+    return parse_shift_text(_read(path), name=str(path))
 
 
 @dataclass(frozen=True)
@@ -154,8 +170,7 @@ def parse_ca_text(text: str, name: str = "<text>") -> RawCa:
 
 
 def parse_ca_file(path) -> RawCa:
-    with open(path, encoding="utf-8") as fh:
-        return parse_ca_text(fh.read(), name=str(path))
+    return parse_ca_text(_read(path), name=str(path))
 
 
 def bind_ca(raw: RawCa, source: Alphabet,

@@ -56,21 +56,31 @@ class TilingDensity(NamedTuple):
 
 def tiling_Z(k: int) -> TilingSpec:
     """Construct the stride-k tiling and verify it exactly on [-10k, 10k):
-    translate tiles are pairwise disjoint and dilated tiles cover."""
+    translate tiles are pairwise disjoint and dilated tiles cover.
+
+    Both are checked by interval arithmetic, one step per translate, in
+    order: the translates of the tile, clipped to the window, must each
+    start where the last one stopped and end at the window's end, and each
+    dilated translate must start inside the cover built so far."""
     spec = TilingSpec(k)
+    tile, dilated = spec.tile, spec.dilated
     lo, hi = -10 * k, 10 * k
-    seen: set[int] = set()
+    tiled = covered = lo  # the window is tiled, and covered, up to here
     for g in range(lo - k, hi + k, k):
-        cells = set(range(g, g + k)) & set(range(lo, hi))
-        if seen & cells:
-            raise AssertionError("tiling translates overlap")
-        seen |= cells
-    if seen != set(range(lo, hi)):
-        raise AssertionError("tiling translates miss the window")
-    for p in range(lo, hi):
-        g = round(p / k) * k
-        if not (-k + 1 <= p - g <= k - 1):
+        start, stop = max(g + tile.start, lo), min(g + tile.stop, hi)
+        if start < stop:
+            if start < tiled:
+                raise AssertionError("tiling translates overlap")
+            if start > tiled:
+                raise AssertionError("tiling translates miss the window")
+            tiled = stop
+        if covered < hi and g + dilated.start > covered:
             raise AssertionError("dilated tiles fail to cover")
+        covered = max(covered, g + dilated.stop)
+    if tiled < hi:
+        raise AssertionError("tiling translates miss the window")
+    if covered < hi:
+        raise AssertionError("dilated tiles fail to cover")
     return spec
 
 

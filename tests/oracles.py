@@ -272,12 +272,19 @@ def block_counts_by_extension(x, n_max):
     return [len(tier) for tier in _tiers(x, n_max)]
 
 
-def fill_exists(x, u, v, n):
-    """Direct enumeration: some w of length n with u+w+v in the language,
-    read from ``x.origin`` (never the acceptor)."""
+def least_fill(x, u, v, n):
+    """Direct enumeration: the lexicographically least rank word w of
+    length n with u+w+v in the language, or None, read from ``x.origin``
+    (never the acceptor)."""
     u, v = x.word(u).ranks(), x.word(v).ranks()
-    return any(origin_contains(x, u + w + v) for w in
-               itertools.product(range(len(x.alphabet)), repeat=n))
+    return next((w for w in itertools.product(range(len(x.alphabet)),
+                                              repeat=n)
+                 if origin_contains(x, u + w + v)), None)
+
+
+def fill_exists(x, u, v, n):
+    """Some w of length n with u+w+v in the language (:func:`least_fill`)."""
+    return least_fill(x, u, v, n) is not None
 
 
 def _layer_feasible(x, u, v, probe):

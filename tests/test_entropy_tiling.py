@@ -2,6 +2,7 @@
 tiling arithmetic and the counting bounds built on it."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import soficlab.entropy as entropy
 from soficlab import (Alphabet, Shift, block_count, block_counts,
                       entropy_blocks, entropy_spectral, entropy_compare,
-                      FolnerWindow, tiling_Z, tiling_density,
+                      FolnerWindow, TilingSpec, tiling_Z,
+                      tiling_density,
                       pattern_exclusion_bound, positivity_lower_bound,
                       si_certificate, CapExceeded, CertificateMissing,
                       NotSubshift, WindowTooSmall, WordNotInLanguage,
@@ -358,6 +360,26 @@ class TestTilingArithmetic:
     def test_bad_stride(self):
         with pytest.raises(ValueError):
             tiling_Z(0)
+
+    def test_huge_stride_is_checked_at_once(self):
+        # interval arithmetic: one step per translate, not per cell
+        start = time.perf_counter()
+        t = tiling_Z(10 ** 9)
+        assert time.perf_counter() - start < 0.1
+        assert t.dilated == range(-10 ** 9 + 1, 10 ** 9)
+
+    @pytest.mark.parametrize("attr, cells, message", [
+        ("tile", lambda t: range(0, t.k + 1), "translates overlap"),
+        ("tile", lambda t: range(0, t.k - 1), "translates miss the window"),
+        ("tile", lambda t: range(1, t.k), "translates miss the window"),
+        ("dilated", lambda t: range(-t.k + 2, 0), "dilated tiles fail"),
+        ("dilated", lambda t: range(2 * t.k, 3 * t.k), "dilated tiles fail"),
+    ])
+    def test_broken_tiles_are_caught(self, monkeypatch, attr, cells,
+                                     message):
+        monkeypatch.setattr(TilingSpec, attr, property(cells))
+        with pytest.raises(AssertionError, match=message):
+            tiling_Z(4)
 
 
 class TestPatternExclusion:

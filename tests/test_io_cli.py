@@ -166,6 +166,34 @@ class TestCliShift:
         assert main(["shift", "analyze", "nosuch"]) == 1
         assert "no such file or bundled shift" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, what", [
+        (["shift", "analyze", "{dir}"], "cannot read: Is a directory"),
+        (["ca", "analyze", "full2", "{dir}"], "cannot read: Is a directory"),
+        (["shift", "analyze", "{bom}"],
+         "not UTF-8 text: invalid start byte at byte 0"),
+    ], ids=["shift-directory", "ca-directory", "shift-utf16-bom"])
+    def test_unreadable_file_exit_one(self, capsys, tmp_path, argv, what):
+        bom = tmp_path / "bom.shift"
+        bom.write_bytes(b"\xff\xfealphabet: 0 1\nforbidden:\n11\n")
+        argv = [a.format(dir=tmp_path, bom=bom) for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[-1]}: {what}\n"
+
+    def test_sparse_vertex_ids(self, capsys, tmp_path):
+        # the ids that occur are numbered densely, so one large id costs
+        # no more than a small one and changes nothing else
+        outs = []
+        for v, w in ((0, 1), (10 ** 12, 5)):
+            p = tmp_path / f"even{v}.shift"
+            p.write_text(f"alphabet: 0 1\ngraph:\nedge {v} {v} 0\n"
+                         f"edge {v} {w} 1\nedge {w} {v} 1\n")
+            assert main(["shift", "analyze", str(p), "--minimal-gap", "64",
+                         "--table", "6"]) == 0
+            outs.append(capsys.readouterr().out.split("\n", 1))
+        assert outs[1][0].endswith("over {0,1}, kind sofic")
+        assert outs[0][1] == outs[1][1]
+        assert "#: minimal_gap 2\n" in outs[1][1]
+
 
 class TestCliCa:
 

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soficlab import (Alphabet, LabeledGraph, Shift, equal_shifts,
-                      is_irreducible, minimal_gap)
+                      gap_witness, is_irreducible, is_mixing, minimal_gap,
+                      si_certificate)
 from soficlab import dfa
 from soficlab.ca import image_presentation, is_pre_injective, random_ca
 from soficlab.cli import main
@@ -31,7 +32,8 @@ from soficlab.shift import SftSpec
 from oracles import (NOT_MIXING, _sft_steps, backward_family,
                      common_extension, core_by_two_sided_peel,
                      diameter_by_bfs, fill_exists, first_missed,
-                     gap_by_row_orbit, nerode_classes, origin_contains,
+                     gap_by_row_orbit, least_fill, nerode_classes,
+                     origin_contains,
                      reach_core_by_closure, reachable_states,
                      sft_graph_by_suffix_scan, sync_word_by_levels,
                      word_image)
@@ -380,6 +382,31 @@ class TestJoinabilityKernels:
         for gap in (t, t + p, t + 2 * p):
             if len(x.alphabet) ** gap <= 4096:
                 assert not fill_exists(x, u, v, gap), gap
+
+    @given(shifts.filter(lambda x: not x.is_empty and is_mixing(x).mixing))
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_self_gap(self, x):
+        # n0 is the least gap from which the sync word always bridges to
+        # itself: the fill exists at n0..n0+3 and not at n0-1
+        cert = si_certificate(x)
+        w = cert.sync.word.text
+        for k in range(max(cert.n0 - 1, 0), cert.n0 + 4):
+            if len(x.alphabet) ** k <= 4096:
+                assert fill_exists(x, w, w, k) == (k >= cert.n0), k
+
+    @given(shifts.filter(lambda x: not x.is_empty), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gap_witness(self, x, data):
+        # the least fill, at gaps past the end of the layers' orbit too
+        words = st.sampled_from([x.alphabet.word_from_ranks(w) for n in (1, 2)
+                                 for w in _oracle_members(x, n)])
+        u, v = data.draw(words), data.draw(words)
+        for gap in range(10):
+            if len(x.alphabet) ** gap > 4096:
+                break
+            w = gap_witness(x, u, v, gap)
+            got = None if w is None else w.ranks()
+            assert got == least_fill(x, u, v, gap), gap
 
     @given(plain_graphs())
     @settings(max_examples=150, deadline=None)
