@@ -258,10 +258,9 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_tiling_check(args) -> int:
-    t = tiling_Z(args.k)
+    d = tiling_density(tiling_Z(args.k), args.n)
     print(f"stride-{args.k} tiling of the integers: tile [0,{args.k}), "
           f"checked exactly on a window of {20 * args.k} cells")
-    d = tiling_density(t, args.n)
     print(f"window [0,{args.n}): {d.count} full tiles, density {d.ratio} "
           f"(>= 1/(2k): {_yn(d.alpha_ok)})")
     print(f"#: tiling k {args.k} n {args.n} count {d.count} "
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                              parser_class=_Parser)
     ptc = subt.add_parser("check")
     ptc.add_argument("--k", type=_bounded(int, 1), default=3)
-    ptc.add_argument("--n", type=int, default=30)
+    ptc.add_argument("--n", type=_bounded(int, 0), default=30)
     ptc.set_defaults(func=cmd_tiling_check)
 
     pl = sub.add_parser("lemma41", help="pattern-exclusion counting bound")

@@ -9,12 +9,12 @@ the class itself only enforces shape and reachability.
 All words at this layer are tuples of symbol ranks.  The typed Word wrappers
 live one level up.
 
-Every forward subset search here (the subset construction, the least word
-a graph reads and an acceptor does not, the shortest synchronizing word)
-moves an int bitmask of states by one symbol with :func:`_subset_step`;
-backward questions step bool rows through :func:`preimage_cols`.  The
-caps on the searches that can blow up are module constants, read at call
-time.
+A set of an acceptor's states is a bool row with a False sentinel slot,
+moved through the one table :func:`preimage_cols`.  Int bitmasks hold
+only sets of a graph's vertices (:func:`_subset_step`, and the rows of
+``graph.directed_diameter``) and the masks ``props`` packs once from the
+backward family's rows for its inclusion tests.  The caps on the
+searches that can blow up are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ def _graph_cols(g: LabeledGraph) -> list[list[int]]:
 
 
 def _subset_step(cols: list[list[int]], s: int) -> list[int]:
-    """The step of every subset search: per symbol rank a, the mask of the
-    a-successors of the states in the mask s, 0 when none has one.
-    ``cols[a][v]`` is the mask of v's a-successors."""
+    """The step of every search over a graph's vertex sets: per symbol
+    rank a, the mask of the a-successors of the vertices in the mask s, 0
+    when none has one.  ``cols[a][v]`` is the mask of v's a-successors."""
     members = []
     while s:
         lsb = s & -s
@@ -283,37 +283,45 @@ def _least_missing(start, moves, d: FactorialDfa) -> tuple[int, ...] | None:
     return None
 
 
-def shortest_sync(trans, states) -> tuple[tuple[int, ...], int] | None:
-    """Shortest word collapsing ``states`` to a single state under the
-    partial table ``trans``, whose rows give the symbol count.
+def shortest_sync(cols, start) -> tuple[tuple[int, ...], int] | None:
+    """Shortest word collapsing the states of the bool row ``start`` to a
+    single state, read through the table ``cols`` of :func:`preimage_cols`.
 
     Among equally short collapsing words the lexicographically greatest is
     returned, so the choice is deterministic.  Words whose image is empty
     are not collapsing (they are unreadable from every state).  Returns
     (word_ranks, final_state) or None when no collapsing word exists.
-    The search is breadth first over state masks, each moved by
-    :func:`_subset_step` and its symbols tried from the greatest down.
+    Breadth first over rows, symbols tried from the greatest down: the
+    a-image of a row scatters ``cols[a]`` at its members.  Rows wait
+    packed, and step in batches of about 2**16 cells.
     """
-    start = sum(1 << q for q in set(states))
-    if not start:
-        return None
-    if not start & (start - 1):
-        return (), start.bit_length() - 1
-    cols = [[1 << t if t != -1 else 0 for t in col] for col in zip(*trans)]
-    seen = {start}
-    queue: deque[tuple[int, tuple[int, ...]]] = deque([(start, ())])
+    if start.sum() < 2:
+        return ((), int(start.argmax())) if start.any() else None
+    na, width = cols.shape
+    symbols, batch = np.arange(na), max(1, 2 ** 16 // width)
+    key = np.packbits(start, bitorder="little").tobytes()
+    seen = {key}
+    queue: deque[tuple[bytes, tuple[int, ...]]] = deque([(key, ())])
     while queue:
-        cur, w = queue.popleft()
-        succ = _subset_step(cols, cur)
-        for a in range(len(succ) - 1, -1, -1):
-            nxt = succ[a]
-            if not nxt or nxt in seen:
-                continue
-            nw = w + (a,)
-            if not nxt & (nxt - 1):
-                return nw, nxt.bit_length() - 1
-            seen.add(nxt)
-            queue.append((nxt, nw))
+        taken = [queue.popleft() for _ in range(min(batch, len(queue)))]
+        packed = np.frombuffer(b"".join(k for k, _ in taken), np.uint8)
+        i, q = np.nonzero(np.unpackbits(packed.reshape(len(taken), -1),
+                                        axis=1, bitorder="little"))
+        succ = np.zeros((len(taken), na, width), dtype=bool)
+        succ[i[:, None], symbols, cols.take(q, axis=1).T] = True
+        succ[..., -1] = False
+        sizes = succ.sum(axis=2).tolist()
+        keys = np.packbits(succ, axis=2, bitorder="little")
+        for (_, w), size, row_keys, img in zip(taken, sizes, keys, succ):
+            for a in range(na - 1, -1, -1):
+                key = row_keys[a].tobytes()
+                if not size[a] or key in seen:
+                    continue
+                nw = w + (a,)
+                if size[a] == 1:
+                    return nw, int(img[a].argmax())
+                seen.add(key)
+                queue.append((key, nw))
     return None
 
 
@@ -328,39 +336,30 @@ def preimage_cols(d: FactorialDfa) -> np.ndarray:
     return cols
 
 
-def backward_subsets(d: FactorialDfa) -> list[tuple[int, tuple[int, ...]]]:
-    """All sets of the form {q : word readable from q}, as bitmasks over
-    the states, with a shortest representative word for each.
+def backward_subsets(cols) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """All sets of the form {q : word readable from q}, as bool rows with
+    the False sentinel slot, with a shortest representative word for each.
 
     Starts from the full state set (the empty word) and closes under
     per-symbol preimage, breadth first: the set for a word a·v is the
-    a-preimage of the set for v, read through :func:`preimage_cols`.  Every
-    set in the family is nonempty and its representative word is in the
-    language (the family's sets are exactly the readable words' state
-    sets, and readable-from-somewhere means in the language for a
-    factor-closed acceptor).  CapExceeded when the family passes
-    ``_STATE_CAP`` sets.
+    a-preimage of the set for v, read through the table ``cols`` of
+    :func:`preimage_cols`.  Every set in the family is nonempty and its
+    representative word is in the language (the family's sets are exactly
+    the readable words' state sets, and readable-from-somewhere means in
+    the language for a factor-closed acceptor).  CapExceeded when the
+    family passes ``_STATE_CAP`` sets.
     """
-    n = d.n_states
-    cols = preimage_cols(d)
-    full = np.ones(n + 1, dtype=bool)
-    full[n] = False
-    sets, words = [full], [()]
+    full = np.arange(cols.shape[1]) < cols.shape[1] - 1
+    family = [(full, ())]
     # the empty set is marked seen so that it is never added
-    seen = {full.tobytes(), bytes(n + 1)}
-    i = 0
-    while i < len(sets):
-        v = words[i]
-        for a, prev in enumerate(sets[i][cols]):
+    seen = {full.tobytes(), bytes(len(full))}
+    for cur, v in family:
+        for a, prev in enumerate(cur[cols]):
             key = prev.tobytes()
             if key not in seen:
-                if len(sets) >= _STATE_CAP:
+                if len(family) >= _STATE_CAP:
                     raise CapExceeded(
                         f"backward subset family passed {_STATE_CAP} sets")
                 seen.add(key)
-                sets.append(prev)
-                words.append((a,) + v)
-        i += 1
-    masks = np.packbits(sets, axis=1, bitorder="little")
-    return [(int.from_bytes(m.tobytes(), "little"), w)
-            for m, w in zip(masks, words)]
+                family.append((prev, (a,) + v))
+    return family

@@ -45,9 +45,9 @@ minimal sets), the irreducibility verdict, the synchronized cover, the
 mixing report and the gap certificate.  Every gap question asks which
 states have a word of length k into a set, held as a bool row with a
 False sentinel slot; one more letter (:func:`_orbit`) makes each row the
-union of its per-symbol preimages.  The backward family and the sink stay
-bitmasks, and the cover diameter ORs successor rows
-(:func:`directed_diameter`).
+union of its per-symbol preimages.  Int bitmasks hold only sets of a
+graph's vertices (the cover diameter's rows, :func:`directed_diameter`)
+and the masks :class:`_Joinability` packs once from the family's rows.
 """
 
 from __future__ import annotations
@@ -247,22 +247,26 @@ def _gap_tail(cols: np.ndarray, rows: np.ndarray, watch, cap: int,
 class _Joinability:
     """Per-shift data behind every "does some word join u to v" question.
 
-    ``family`` pairs each backward reading set (as a bitmask) with its
-    shortest representative word; ``minimal`` keeps the pairs whose sets
-    are inclusion-minimal in the family, in family order.  Every set
-    contains a minimal one, so a mask that meets them all meets every set.
+    ``family`` pairs each backward reading set, a bitmask packed once from
+    its row, with its shortest word; ``minimal`` keeps the inclusion-minimal
+    pairs in family order, and ``rows`` their rows.  Every set holds a
+    minimal one, so a mask that meets them all meets every set.
     """
 
-    __slots__ = ("family", "minimal")
+    __slots__ = ("family", "minimal", "rows")
 
     def __init__(self, x: Shift):
-        self.family = backward_subsets(x.acceptor)
+        sets, words = zip(*backward_subsets(_preimage_cols(x)))
+        masks = [int.from_bytes(m.tobytes(), "little") for m in
+                 np.packbits(sets, axis=1, bitorder="little")]
+        self.family = list(zip(masks, words))
         # by size, so a set is kept unless a smaller kept set lies inside it
         kept: set[int] = set()
-        for r in sorted((r for r, _ in self.family), key=int.bit_count):
+        for r in sorted(masks, key=int.bit_count):
             if all(k & ~r for k in kept):
                 kept.add(r)
         self.minimal = [(r, v) for r, v in self.family if r in kept]
+        self.rows = np.array([s for s, r in zip(sets, masks) if r in kept])
 
     def miss(self, mask: int) -> tuple[int, ...] | None:
         """Representative word of the first backward set (family order)
@@ -328,8 +332,8 @@ def synchronizing_word(x: Shift) -> SyncWitness:
     one; NoSyncWord reports exhaustion otherwise."""
     if x.is_empty:
         raise NoSyncWord("the empty shift has no automaton to synchronize")
-    d = x.acceptor
-    res = shortest_sync(d.trans, range(d.n_states))
+    cols = _preimage_cols(x)
+    res = shortest_sync(cols, _reading_row(cols, ()))
     if res is None:
         return _sync_fail(x)
     ranks, q = res
@@ -361,19 +365,18 @@ def _synchronized_cover(x: Shift):
     if x.is_empty or not is_irreducible(x).verdict:
         raise NoSyncWord("the synchronized cover needs a nonempty "
                          "irreducible shift")
-    comp, trans = _condensation(x)[0], x.acceptor.trans
-    # no move leaves the sink, so its rows, renumbered, are a table
-    pos = {v: i for i, v in enumerate(comp)}
-    rows = [[pos[t] if t != -1 else -1 for t in trans[v]] for v in comp]
-    res = shortest_sync(rows, range(len(comp)))
+    comp, cols = _condensation(x)[0], _preimage_cols(x)
+    res = shortest_sync(cols, np.bincount(comp, minlength=cols.shape[1]) > 0)
     if res is None:
         return _sync_fail(x)
     ranks, q = res
+    # no move leaves the sink, so its rows, renumbered, are a graph
+    pos, trans = {v: i for i, v in enumerate(comp)}, x.acceptor.trans
     cover = LabeledGraph(x.alphabet, len(comp), tuple(
-        (i, t, a) for i, row in enumerate(rows)
-        for a, t in enumerate(row) if t != -1))
+        (i, pos[t], a) for i, v in enumerate(comp)
+        for a, t in enumerate(trans[v]) if t != -1))
     return cover, tuple(comp), SyncWitness(
-        x.alphabet.word_from_ranks(ranks), comp[q], len(ranks))
+        x.alphabet.word_from_ranks(ranks), q, len(ranks))
 
 
 def is_mixing(x: Shift) -> MixingReport:
@@ -470,10 +473,10 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     states reading v, which holds a minimal backward set B_i; so gap k
     fails iff s lies outside some row P_k[i], the states from which a word
     of length k leads into B_i.  The m rows, one per minimal set, start at
-    the reading rows of the sets' words and step by :func:`_orbit`; the
-    stack is keyed by its packed rows, m bytes per 8 states, and evolved
-    until it repeats (:func:`_gap_tail`), which decides the tail
-    quantifier exactly.
+    the sets themselves, the rows :class:`_Joinability` keeps, and step by
+    :func:`_orbit`; the stack is keyed by its packed rows, m bytes per 8
+    states, and evolved until it repeats (:func:`_gap_tail`), which
+    decides the tail quantifier exactly.
 
     Raises NotMixing when a gap t of the cycle fails: s is the least state
     missing from a row at t, u its (length, lex)-least word, and v the word
@@ -484,16 +487,14 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     """
     if x.is_empty:
         raise EmptyShift("no uniform gap: the empty shift admits no fills")
-    d, minimal = x.acceptor, _joinability(x).minimal
-    n, cols = d.n_states, _preimage_cols(x)
-    rows = np.array([_reading_row(cols, v) for _, v in minimal])
-    n0, bad = _gap_tail(cols, rows, slice(n), 4 * search_cap + 64,
-                        "joint gap evolution")
+    d, j, n = x.acceptor, _joinability(x), x.acceptor.n_states
+    n0, bad = _gap_tail(_preimage_cols(x), j.rows, slice(n),
+                        4 * search_cap + 64, "joint gap evolution")
     if bad is not None:
         t, rows, period = bad
         missing = ~rows[:, :n]
         s = int(missing.any(axis=0).argmax())
-        v = minimal[int(missing[:, s].argmax())][1]
+        v = j.minimal[int(missing[:, s].argmax())][1]
         u = x.alphabet.word_from_ranks(shortest_words(d.trans)[s])
         raise NotMixing(
             f"no uniform gap: u={u.text!r} cannot reach "

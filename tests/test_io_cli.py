@@ -348,6 +348,13 @@ class TestCliTilingLemma:
         out = capsys.readouterr().out
         assert "#: tiling k 3 n 30 count 10 ratio 1/3 alpha_ok 1" in out
 
+    def test_tiling_short_window_prints_no_half_report(self, capsys):
+        # the density is computed before the first line is printed
+        assert main(["tiling", "check", "--k", "3", "--n", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "WindowTooSmall" in err
+
     def test_lemma_golden(self, capsys):
         assert main(["lemma41", "check", "golden", "--d", "1",
                      "--n", "18"]) == 0
@@ -398,6 +405,7 @@ class TestCliContract:
         "shift entropy golden --tol nan",
         "ca analyze full2 xor --tol -1",
         "tiling check --k 0",
+        "tiling check --n -1",
         "lemma41 check golden --d 0",
         "lemma41 check golden --n -1",
         "shift analyze golden --n-max x",

@@ -1,7 +1,7 @@
 """Differential tests of canonicalization against an oracle that reads only
 ``Shift.origin``: random small graphs and random forbidden-word sets.  The
-bitmask joinability kernels (backward family, sync search, gap test,
-diameter) are checked the same way against transparent set-based oracles,
+joinability kernels (backward family, sync search, gap test, diameter)
+are checked the same way against transparent set-based oracles,
 and the canonicalization kernels (Aho-Corasick presentation, Moore
 refinement, the peel that removes nothing) against a suffix-scan block
 graph and table filling."""
@@ -9,7 +9,9 @@ graph and table filling."""
 import itertools
 import re
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,8 @@ from soficlab import dfa
 from soficlab.ca import image_presentation, is_pre_injective, random_ca
 from soficlab.cli import main
 from soficlab.dfa import (_STATE_CAP, FactorialDfa, backward_subsets,
-                          determinize, minimize, shortest_sync, word_counts)
+                          determinize, minimize, preimage_cols,
+                          shortest_sync, word_counts)
 from soficlab.errors import CapExceeded, NotMixing, StateBlowup
 from soficlab.graph import (core_vertices, directed_diameter, essentialize,
                             follower_reduce, infinite_path_starts,
@@ -310,26 +313,49 @@ def plain_graphs(draw):
     return LabeledGraph(_ALPHABETS[2], n, tuple(edges))
 
 
+def _states_row(d, states):
+    """The bool row, with the False sentinel slot, of a set of states."""
+    row = np.zeros(d.n_states + 1, dtype=bool)
+    row[list(states)] = True
+    return row
+
+
+def _padded(cols, row, pad):
+    """The table and the row with ``pad`` idle states put before the
+    sentinel slot, whose moves all go to the sentinel: a search from the
+    row never reaches them, but its rows are wider."""
+    n = cols.shape[1] - 1
+    wide = np.full((len(cols), n + pad + 1), n + pad)
+    wide[:, :n] = np.where(cols[:, :n] == n, n + pad, cols[:, :n])
+    return wide, np.concatenate([row[:n], np.zeros(pad + 1, dtype=bool)])
+
+
 class TestJoinabilityKernels:
-    """The bitmask kernels against transparent oracles: a frozenset closure
-    for the backward family, words tried one by one for the sync search,
-    the full ordered scan for the gap test, forward rows per state for the
-    gap evolution, and one breadth-first search per source for the
+    """The joinability kernels against transparent oracles: a frozenset
+    closure for the backward family, words tried one by one for the sync
+    search, the full ordered scan for the gap test, forward rows per state
+    for the gap evolution, and one breadth-first search per source for the
     diameter."""
 
     @given(st.one_of(partial_dfas(), shifts.map(lambda x: x.acceptor)))
     @settings(max_examples=80, deadline=None)
     def test_backward_subsets(self, d):
-        expected = [(sum(1 << q for q in fs), v)
-                     for fs, v in backward_family(d)]
-        assert backward_subsets(d) == expected
+        expected = backward_family(d)
+        cols = preimage_cols(d)
+
+        def family():
+            # a set in the sentinel slot would show as state n
+            return [(frozenset(np.flatnonzero(r).tolist()), v)
+                    for r, v in backward_subsets(cols)]
+
+        assert family() == expected
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dfa, "_STATE_CAP", len(expected))
-            assert backward_subsets(d) == expected
+            assert family() == expected
             if len(expected) > 1:
                 mp.setattr(dfa, "_STATE_CAP", len(expected) - 1)
                 with pytest.raises(CapExceeded):
-                    backward_subsets(d)
+                    backward_subsets(cols)
 
     @given(partial_dfas(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -338,13 +364,31 @@ class TestJoinabilityKernels:
         # lexicographically greatest of the shortest collapsing words)
         states = data.draw(st.sets(st.integers(0, d.n_states - 1),
                                    min_size=1))
-        got = shortest_sync(d.trans, states)
+        cols, row = preimage_cols(d), _states_row(d, states)
+        got = shortest_sync(cols, row)
+        # rows over 2**15 cells wide step one at a time, not all at once
+        assert shortest_sync(*_padded(cols, row, 2 ** 15)) == got
         expected = sync_word_by_levels(d.trans, states, 8)
         if got is not None and len(got[0]) > 8:
             assert expected is None
             assert word_image(d.trans, states, got[0]) == {got[1]}
         else:
             assert got == expected
+
+    def test_sync_search_memory_is_linear(self):
+        # symbol 0 turns a 20000-cycle, symbol 1 sends its upper half to
+        # state 0; columns of one int mask per state took 27.7 MB here
+        n = 20000
+        d = FactorialDfa(_ALPHABETS[2], tuple(
+            ((q + 1) % n, 0 if q >= n // 2 else -1) for q in range(n)))
+        tracemalloc.start()
+        try:
+            got = shortest_sync(preimage_cols(d), _states_row(d, range(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == ((1,), 0)
+        assert peak < 4 * 2 ** 20
 
     @given(shifts.filter(lambda x: not x.is_empty), st.data())
     @settings(max_examples=80, deadline=None)
