@@ -10,7 +10,8 @@ All words at this layer are tuples of symbol ranks.  The typed Word wrappers
 live one level up.
 
 A set of an acceptor's states is a bool row with a False sentinel slot,
-moved through the one table :func:`preimage_cols`.  Int bitmasks hold
+moved through the one table :func:`preimage_cols`, which word counts
+are gathered through too (:func:`word_counts`).  Int bitmasks hold
 only sets of a graph's vertices (:func:`_subset_step`, and the rows of
 ``graph.directed_diameter``) and the masks ``props`` packs once from the
 backward family's rows for its inclusion tests.  The caps on the
@@ -176,20 +177,17 @@ def to_graph(d: FactorialDfa) -> LabeledGraph:
     return LabeledGraph(d.alphabet, d.n_states, tuple(edges))
 
 
-def word_counts(d: FactorialDfa, n_max: int) -> list[int]:
-    """Exact counts of words of each length 0..n_max, as Python ints."""
-    vec = [0] * d.n_states
-    vec[0] = 1
+def word_counts(cols, n_max: int) -> list[int]:
+    """Exact counts c_0..c_{n_max} of the words state 0 reads, as Python
+    ints, through the table ``cols`` of :func:`preimage_cols`: ``w[q]``
+    counts the words state q reads, in an object array whose sentinel
+    slot stays 0, and one gather ``w[cols].sum(axis=0)`` adds a symbol."""
+    w = np.ones(cols.shape[1], dtype=object)
+    w[-1] = 0
     counts = [1]
     for _ in range(n_max):
-        nxt = [0] * d.n_states
-        for q, c in enumerate(vec):
-            if c:
-                for t in d.trans[q]:
-                    if t != -1:
-                        nxt[t] += c
-        vec = nxt
-        counts.append(sum(vec))
+        w = w[cols].sum(axis=0)
+        counts.append(w[0])
     return counts
 
 

@@ -10,11 +10,13 @@ of the requested log-width.  Its ends are binary64 quotients of rounded
 sums, not yet checked exactly, so that interval holds the root up to
 their rounding, not with outward-rounded certainty.
 
-The power iteration never forms a matrix.  Each strongly connected
-component is read from ``acceptor.trans`` as one target array per symbol,
-with a pad slot holding 0.0 for moves that are undefined or leave the
-component, so a sweep is ``Mv = v[t_0] + v[t_1] + ...`` and one add,
-``v = Mv + v``: O(n |A|) time and memory where a dense block costs O(n^2).
+Both routes read the acceptor's memoised column table, word counts as
+one gather per length (:func:`dfa.word_counts`).  The power iteration
+never forms a matrix: each strongly connected component takes its rows
+of the table as one target array per symbol, with a pad slot holding
+0.0 for moves that are undefined or leave the component, so a sweep is
+``Mv = v[t_0] + v[t_1] + ...`` and one add, ``v = Mv + v``: O(n |A|)
+time and memory where a dense block costs O(n^2).
 The vector is rescaled only once per batch of sweeps, and by a power of
 two, which rounds nothing; the bracket is tested once per batch.  Over two
 letters a row of the product has at most two nonzero terms, each an exact
@@ -36,7 +38,7 @@ import numpy as np
 
 from .dfa import word_counts
 from .errors import CapExceeded, NotMixing, NotSubshift
-from .props import _condensation, si_certificate
+from .props import _condensation, _preimage_cols, si_certificate
 from .shift import Shift, language_included
 from .base import Decision
 
@@ -89,18 +91,19 @@ class EntropyEstimate:
 
 
 def block_count(x: Shift, n: int) -> int:
-    """Exact number of length-n language words, by integer vector-matrix
-    powering over the minimal automaton."""
+    """Exact number of length-n words, entry n of :func:`block_counts`."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return word_counts(x.acceptor, n)[n]
+    return block_counts(x, n)[n]
 
 
 def block_counts(x: Shift, n_max: int) -> list[int]:
-    """Exact counts c_0..c_{n_max} in one pass."""
+    """Exact counts c_0..c_{n_max}, memoised on ``x`` per ``n_max``; the
+    caller gets its own list."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return word_counts(x.acceptor, n_max)
+    return list(x.derived(("block_counts", n_max),
+                          lambda y: word_counts(_preimage_cols(y), n_max)))
 
 
 def entropy_blocks(x: Shift, n_max: int) -> EntropyEstimate:
@@ -142,18 +145,18 @@ def entropy_blocks(x: Shift, n_max: int) -> EntropyEstimate:
     return EntropyEstimate(value, "block-count", params, err)
 
 
-def _symbol_targets(trans, comp: list[int]) -> list[np.ndarray]:
-    """One local target array per symbol for the component ``comp``.
+def _symbol_targets(cols, comp: list[int]) -> list[np.ndarray]:
+    """One local target array per symbol for the component ``comp``, from
+    the column table ``cols``.
 
     Entry i of the array for symbol a is the index in ``comp`` of the
     a-successor of the i-th state, or ``len(comp)``, the pad slot, when
     that move is undefined or leaves the component.  The pad slot is entry
     ``len(comp)`` of every array and moves to itself.
     """
-    pos = {q: i for i, q in enumerate(comp)}
-    pad = len(comp)
-    return [np.array([pos.get(t, pad) for t in col] + [pad], dtype=np.intp)
-            for col in zip(*(trans[q] for q in comp))]
+    pos = np.full(cols.shape[1], len(comp))
+    pos[comp] = np.arange(len(comp))
+    return list(pos[cols[:, comp + [cols.shape[1] - 1]]])
 
 
 def _component_bracket(targets: list[np.ndarray],
@@ -223,21 +226,21 @@ def _entropy_spectral(x: Shift, tol: float) -> EntropyEstimate:
     blocks (Lind & Marcus, *Symbolic Dynamics and Coding*, 4.4).  A
     one-state component's root is its number of self-loops; a larger one
     is bracketed by :func:`_component_bracket` on its per-symbol target
-    arrays, read from ``acceptor.trans``.  ``iterations`` sums the sweeps
-    over all components."""
+    arrays; both read the acceptor's column table.  ``iterations`` sums
+    the sweeps over all components."""
     if x.is_empty:
         return EntropyEstimate(0.0, "spectral", {"degenerate": "empty"}, 0.0)
-    trans = x.acceptor.trans
+    cols = _preimage_cols(x)
     best_lo, best_hi, total_it, best_size = 0.0, 0.0, 0, 0
     for comp in _condensation(x):
         if len(comp) == 1:
-            loops = trans[comp[0]].count(comp[0])
+            loops = int((cols[:, comp[0]] == comp[0]).sum())
             if not loops:
                 continue
             lo = hi = float(loops)
             it = 0
         else:
-            lo, hi, it = _component_bracket(_symbol_targets(trans, comp), tol)
+            lo, hi, it = _component_bracket(_symbol_targets(cols, comp), tol)
         total_it += it
         if hi > best_hi:
             best_size = len(comp)

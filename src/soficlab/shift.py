@@ -9,14 +9,15 @@ length L costs at most L vertices, not a vertex per block of the window.
 Construction eagerly builds two canonical objects: an essential
 presentation, and the minimal acceptor of the block language from one
 subset construction (Lind & Marcus, *Symbolic Dynamics and Coding*,
-3.3-3.4); every query runs against these.  Everything else is derived and memoised on the instance on first use, see
-:meth:`Memo.derived`: the essential part of the acceptor (the
-past-determined presentation the map layer reads on every domain), the
-period of the essential presentation when it is strongly connected, which
-decides irreducibility and mixing without the acceptor, the acceptor's
-successor table and condensation, whose sink component decides them
-otherwise, the backward family, the irreducibility verdict, synchronized
-cover, mixing report, gap certificate and spectral entropy.
+3.3-3.4); every query runs against these.  Everything else is derived
+and memoised on the instance on first use, see :meth:`Memo.derived`: the
+essential part of the acceptor (the past-determined presentation the map
+layer reads on every domain), the period of the essential presentation
+when it is strongly connected, which decides irreducibility and mixing
+without the acceptor, the acceptor's successor table, column table and
+condensation, whose sink component decides them otherwise, the backward
+family, the irreducibility verdict, synchronized cover, mixing report,
+gap certificate, block counts and spectral entropy.
 """
 
 from __future__ import annotations

@@ -56,7 +56,10 @@ def parse_shift_text(text: str, name: str = "<text>") -> Shift:
             syms = line[len("alphabet:"):].split()
             if not syms:
                 raise ParseError(f"{name}: empty alphabet", lineno)
-            alphabet = Alphabet(tuple(syms))
+            try:
+                alphabet = Alphabet(tuple(syms))
+            except ValueError as exc:  # a repeated symbol
+                raise ParseError(f"{name}: {exc}", lineno) from None
             continue
         if alphabet is None:
             raise ParseError(f"{name}: expected an alphabet line first", lineno)

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .base import Word
-from .entropy import block_count, block_counts
+from .entropy import block_counts
 from .errors import (CertificateMissing, EmptyShift, NotMixing,
                      WindowTooSmall, WordNotInLanguage)
-from .props import si_certificate
+from .props import _preimage_cols, si_certificate
 from .shift import Shift
 
 
@@ -154,8 +156,8 @@ def pattern_exclusion_bound(x: Shift, d: int, n: int,
                 f"pattern {pattern.text!r} is not an allowed word of "
                 f"length {d}")
     tiles = _tile_starts(n, d, margin, stride)
-    rho = block_count(x, stride)
-    c_n = block_count(x, n)
+    counts = block_counts(x, max(stride, n))
+    rho, c_n = counts[stride], counts[n]
     q = _count_avoiding(x, n, tiles, pattern)
     t = len(tiles)
     holds = q * rho ** t <= (rho - 1) ** t * c_n
@@ -171,41 +173,26 @@ def _count_avoiding(x: Shift, n: int, tiles: tuple[int, ...],
     """Exact count of length-n words whose restriction to each tile window
     [g, g+d) differs from the pattern.
 
-    Position-indexed DP over the minimal automaton; inside a tile the state
-    tracks how much of the pattern is still matched (tiles are disjoint, so
-    one counter suffices), and a word is dropped exactly when some tile
-    matches completely.
+    Right to left over [0, n), ``w[q]`` counts the words on [i, n) that
+    state q reads and that avoid the pattern on the tiles there, one
+    gather a position as in :func:`dfa.word_counts`.  At a tile start g
+    the words reading the pattern go: q reads it to ``read[q]``, and the
+    words going on from there were counted at the tile's end, g + d.
     """
-    d = len(pattern)
-    p_ranks = pattern.ranks()
-    offset = [-1] * n
-    for g in tiles:
-        for i in range(g, g + d):
-            offset[i] = i - g
-    dfa = x.acceptor
-    na = len(x.alphabet)
-    # key: (automaton state, matched prefix length or -1 once mismatched)
-    cur: dict[tuple[int, int], int] = {(0, 0): 1}
-    for i in range(n):
-        off = offset[i]
-        nxt: dict[tuple[int, int], int] = {}
-        for (q, m), cnt in cur.items():
-            for a in range(na):
-                t = dfa.trans[q][a]
-                if t == -1:
-                    continue
-                if off == -1:
-                    key = (t, 0)
-                else:
-                    matched = m == off and a == p_ranks[off]
-                    if matched and off == d - 1:
-                        continue  # this tile realizes the pattern
-                    key = (t, off + 1 if matched else -1)
-                    if off == d - 1:
-                        key = (t, 0)
-                nxt[key] = nxt.get(key, 0) + cnt
-        cur = nxt
-    return sum(cur.values())
+    d, cols = len(pattern), _preimage_cols(x)
+    read = np.arange(cols.shape[1])
+    for a in pattern.ranks():
+        read = cols[a][read]
+    starts, ends = set(tiles), {g + d for g in tiles}
+    w = np.ones(cols.shape[1], dtype=object)
+    w[-1] = 0
+    for i in reversed(range(n)):
+        if i + 1 in ends:
+            at_end = w
+        w = w[cols].sum(axis=0)
+        if i in starts:
+            w = w - at_end[read]
+    return w[0]
 
 
 class PositivityReport(NamedTuple):

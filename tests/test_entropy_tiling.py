@@ -45,6 +45,10 @@ class TestBlockCounts:
         with pytest.raises(ValueError):
             block_count(golden, -1)
 
+    def test_memoised_counts_are_a_fresh_list(self, golden):
+        block_counts(golden, 5)[5] = 0
+        assert block_counts(golden, 5)[5] == 13
+
     @given(a=st.integers(1, 10), b=st.integers(1, 10))
     @settings(max_examples=40, deadline=None)
     def test_submultiplicative(self, shifts, a, b):
@@ -181,8 +185,13 @@ def blocks(draw, letters):
 
 
 def sparse_bracket(trans, comp, tol):
+    # the column table of the raw block, built here: its unreachable
+    # states keep it from being a FactorialDfa
+    n = len(trans)
+    cols = np.array(trans + ((n,) * len(trans[0]),)).T
+    cols[cols == -1] = n
     return entropy._component_bracket(
-        entropy._symbol_targets(trans, comp), tol)
+        entropy._symbol_targets(cols, comp), tol)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -43,6 +43,8 @@ class TestShiftFormat:
             ("forbidden:\n11\n", "line 1"),                     # no alphabet
             ("alphabet: 0 1\nalphabet: 0\n", "line 2"),          # duplicate
             ("alphabet:\nforbidden:\n", "line 1"),               # empty
+            ("alphabet: 0 0\nforbidden:\n",
+             "line 1: <t>: duplicate symbol '0'"),
             ("alphabet: 0 1\nforbidden:\n12\n", "line 3"),       # bad symbol
             ("alphabet: 0 1\nforbidden:\n\n11\ngraph:\n", "line 5"),
             ("alphabet: 0 1\ngraph:\nedge 0 x 1\n", "line 3"),   # bad vertex

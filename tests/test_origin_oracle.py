@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soficlab import (Alphabet, LabeledGraph, Shift, equal_shifts,
@@ -31,12 +31,13 @@ from soficlab.graph import (core_vertices, directed_diameter, essentialize,
                             refine_classes)
 from soficlab.props import _Joinability
 from soficlab.shift import SftSpec
+from soficlab.tiling import _count_avoiding, _tile_starts
 
 from oracles import (NOT_MIXING, _sft_steps, backward_family,
                      common_extension, core_by_two_sided_peel,
                      diameter_by_bfs, fill_exists, first_missed,
                      gap_by_row_orbit, least_fill, nerode_classes,
-                     origin_contains,
+                     origin_blocks, origin_contains,
                      reach_core_by_closure, reachable_states,
                      sft_graph_by_suffix_scan, sync_word_by_levels,
                      word_image)
@@ -114,9 +115,26 @@ class TestOriginOracle:
     @settings(max_examples=60, deadline=None)
     def test_word_counts(self, x):
         n_max = _MAX_LEN[len(x.alphabet)]
-        counts = word_counts(x.acceptor, n_max)
+        counts = word_counts(preimage_cols(x.acceptor), n_max)
         assert counts[1:] == [len(_oracle_members(x, n))
                               for n in range(1, n_max + 1)]
+
+    @given(shifts, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pattern_exclusion_count(self, x, data):
+        # the words of length n that differ from the pattern on every
+        # tile of the certificate layout, counted from the origin
+        d = data.draw(st.integers(1, 3))
+        patterns = origin_blocks(x, d)
+        assume(patterns)
+        pattern = data.draw(st.sampled_from(patterns))
+        margin = data.draw(st.integers(0, 2))
+        n = data.draw(st.integers(0, _MAX_LEN[len(x.alphabet)]))
+        tiles = _tile_starts(n, d, margin, d + 2 * margin)
+        avoiding = [w for w in origin_blocks(x, n)
+                    if all(w[g:g + d] != pattern for g in tiles)]
+        assert _count_avoiding(x, n, tiles, x.alphabet.word_from_ranks(
+            pattern)) == len(avoiding)
 
     @given(shifts)
     @settings(max_examples=60, deadline=None)

@@ -65,8 +65,10 @@ class TestConstruction:
         # count of trailing 1s
         x = Shift.from_forbidden(BITS, ("1" * 24,))
         assert x.essential.n_vertices == 24
-        c = block_counts(x, 60)
-        for n in range(61):
+        # past n = 63 the counts pass 2**63
+        c = block_counts(x, 90)
+        assert c[64] > 2 ** 63
+        for n in range(91):
             assert c[n] == (2 ** n if n < 24 else sum(c[n - 24:n])), n
         # the Perron root is the largest root of x^24 - x^23 - ... - 1
         companion = np.zeros((24, 24))
