@@ -9,6 +9,7 @@ blocks that rule tables and recodings index by.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -202,21 +203,26 @@ class ConfigurationWindow:
         return f"ConfigurationWindow([{self.start},{self.stop}), {self.word.text!r})"
 
 
-class Memo:
-    """Mixin memoising derived results on an immutable object, in the
-    ``_derived`` dict the subclass provides.  ``derived(key, compute)``
-    computes ``compute(self)`` on the first call under ``key`` and shares it
-    with every later call (callers must not mutate it); an exception caches
-    nothing.  A shift keys its invariants by name; a rule keys what it
-    derives on a domain by ``(name, domain)``, so it is freed with the rule."""
+_MISS = object()
 
-    __slots__ = ()
 
-    def derived(self, key, compute):
-        memo = self._derived
-        if key not in memo:
-            memo[key] = compute(self)
-        return memo[key]
+def memoised(fn):
+    """Memoise ``fn(obj, *args)`` on ``obj``, in its ``_derived`` dict:
+    computed on the first call and the same object returned on every later
+    call (callers must not mutate it); a call that raises caches nothing.
+    The key is ``fn`` itself with the positional arguments, so no two
+    functions share one; shifts hash by identity, graphs by value.  Every
+    derived result of a shift or a rule is memoised here, so a result
+    lives as long as its object: a rule's analyses of a domain go with the
+    rule."""
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (fn, *args)
+        hit = obj._derived.get(key, _MISS)
+        if hit is _MISS:
+            hit = obj._derived[key] = fn(obj, *args)
+        return hit
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -248,7 +254,7 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class CellularAutomaton(Memo):
+class CellularAutomaton:
     """A sliding-window map given by an explicit local-rule table.
 
     The output at position ``i`` is ``rule(x[i+mem_left], ..., x[i+mem_right])``.
@@ -265,7 +271,7 @@ class CellularAutomaton(Memo):
     table : tuple of str
         ``len(source) ** width`` output symbols, ``width = mem_right - mem_left + 1``.
 
-    Analyses on a domain are memoised on the rule (see ``soficlab.ca``).
+    Analyses on a domain are memoised on the rule (:func:`memoised`).
     """
 
     source: Alphabet

@@ -17,26 +17,22 @@ the verdict builds no image shift.  The image is built only for a
 question that needs it: surjectivity, entropy, image invariants; its
 graph also for the witness of a failed inclusion.
 
-Each (rule, domain) pair is analysed once: the pair graph, the diamond
-search with the witnesses built from it, the image graph, image and
-injectivity verdicts are cached on the rule under (name, domain), the
-image's inclusion in a target under (name, domain, target), shifts
-hashing by identity; recodings, which depend on the width alone, on the
-domain under (name, presentation, width), graphs hashing by value
-(:meth:`Memo.derived`), so every rule, rejected or kept, reads one.  They
-are shared by every later call, must not be mutated, and are freed with
-the rule or the domain.
+Each (rule, domain) pair is analysed once (:func:`base.memoised`): the
+pair graph, the diamond search with the witnesses built from it, the
+image graph, image and injectivity verdicts, and the image's inclusion in
+a target are memoised on the rule, so they are freed with it; recodings,
+which depend on the width alone, on the domain, so every rule, rejected
+or kept, reads one.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
 
 from .base import (Alphabet, CellularAutomaton, ConfigurationWindow, Decision,
-                   Word, block_digits, table_size)
+                   Word, block_digits, memoised, table_size)
 from .dfa import graph_missing
 from .entropy import EntropyEstimate, entropy_spectral
 from .errors import AlphabetMismatch, NotEndomorphism, NotIntoTarget
@@ -46,18 +42,10 @@ from .props import is_strongly_irreducible
 from .shift import Shift, equal_shifts
 
 
-def _per_domain(fn):
-    """Memoise ``fn(t, x)`` on the rule ``t``, keyed by the domain ``x``
-    (by identity; :func:`_recode` keys by the presentation's value)."""
-    @functools.wraps(fn)
-    def memoised(t: CellularAutomaton, x: Shift):
-        return t.derived((fn.__name__, x), lambda t: fn(t, x))
-    return memoised
-
-
+@memoised
 def _output_ranks(t: CellularAutomaton) -> tuple[int, ...]:
-    """Target rank of the rule's output per window rank, memoised."""
-    return t.derived("outputs", lambda t: tuple(map(t.target.index, t.table)))
+    """Target rank of the rule's output per window rank."""
+    return tuple(map(t.target.index, t.table))
 
 
 @dataclass(frozen=True)
@@ -85,16 +73,16 @@ def _check_source(t: CellularAutomaton, x: Shift) -> None:
         raise AlphabetMismatch("the rule reads a different alphabet")
 
 
+@memoised
 def _recode(x: Shift, g: LabeledGraph, k: int) -> list[list[tuple[int, int]]]:
     """The :func:`window_graph` of the presentation ``g`` of ``x``,
     memoised on the domain by the value of ``g``, so a domain whose
     essential graph and :attr:`Shift.deterministic` are equal is recoded
     once.  A rule maps the edge label b to ``_output_ranks(t)[b]``."""
-    return x.derived(("recode", g, k),
-                     lambda x: window_graph(g, k, window_states(g, k)))
+    return window_graph(g, k, window_states(g, k))
 
 
-@_per_domain
+@memoised
 def pair_graph(t: CellularAutomaton, x: Shift) -> PairGraph:
     """The pair graph over :attr:`Shift.deterministic`, the past-determined
     presentation of ``x``, on every domain."""
@@ -151,7 +139,7 @@ class PointPairWitness:
     image: Word
 
 
-@_per_domain
+@memoised
 def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
     """Can two points agreeing outside a finite set share their image?
 
@@ -174,7 +162,7 @@ def is_pre_injective(t: CellularAutomaton, x: Shift) -> Decision:
                     note="distinct windows, equal images, common ends")
 
 
-@_per_domain
+@memoised
 def _asymptotic_pair(t: CellularAutomaton, x: Shift
                      ) -> tuple[DiamondWitness, PointPairWitness] | None:
     """The shortest diamond of :func:`_diamond_search`, as a window pair and
@@ -283,7 +271,7 @@ def _walk(v: int, steps) -> tuple[list[tuple[int, int]], int]:
         seen[v] = len(path)
 
 
-@_per_domain
+@memoised
 def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
     """Do any two distinct points share an image?
 
@@ -322,7 +310,7 @@ def is_injective(t: CellularAutomaton, x: Shift) -> Decision:
                     note="two distinct points with equal images")
 
 
-@_per_domain
+@memoised
 def _image_graph(t: CellularAutomaton, x: Shift) -> LabeledGraph:
     """The recoded essential presentation of ``x`` with each k-block edge
     relabelled by its output symbol: an essential graph of the image."""
@@ -332,12 +320,13 @@ def _image_graph(t: CellularAutomaton, x: Shift) -> LabeledGraph:
         (s, d, out[b]) for s, row in enumerate(adj) for d, b in row))
 
 
-@_per_domain
+@memoised
 def image_presentation(t: CellularAutomaton, x: Shift) -> Shift:
     """The image shift, presented by :func:`_image_graph`."""
     return Shift.from_graph(_image_graph(t, x))
 
 
+@memoised
 def maps_into(t: CellularAutomaton, x: Shift, y: Shift) -> bool:
     """Does ``t`` map every point of ``x`` into ``y``?  Memoised on the
     rule, so each (rule, domain, target) is searched once.
@@ -348,30 +337,29 @@ def maps_into(t: CellularAutomaton, x: Shift, y: Shift) -> bool:
     ``y.acceptor``, from every (s, 0).  An edge of the recoding reading
     the k-block b moves q by the rule's output on b; the first move ``y``
     cannot make answers no."""
-    def decide(t: CellularAutomaton) -> bool:
-        _check_source(t, x)
-        if t.target != y.alphabet:
-            raise AlphabetMismatch(
-                f"cannot compare shifts over {t.target.compact} "
-                f"and {y.alphabet.compact}")
-        adj, out = _recode(x, x.essential, t.width), _output_ranks(t)
-        trans = y.acceptor.trans
-        stack = [(s, 0) for s in range(len(adj))]
-        seen = set(stack)
-        while stack:
-            s, q = stack.pop()
-            row = trans[q]
-            for d, b in adj[s]:
-                r = row[out[b]]
-                if r == -1:
-                    return False
-                if (d, r) not in seen:
-                    seen.add((d, r))
-                    stack.append((d, r))
-        return True
-    return t.derived(("inside", x, y), decide)
+    _check_source(t, x)
+    if t.target != y.alphabet:
+        raise AlphabetMismatch(
+            f"cannot compare shifts over {t.target.compact} "
+            f"and {y.alphabet.compact}")
+    adj, out = _recode(x, x.essential, t.width), _output_ranks(t)
+    trans = y.acceptor.trans
+    stack = [(s, 0) for s in range(len(adj))]
+    seen = set(stack)
+    while stack:
+        s, q = stack.pop()
+        row = trans[q]
+        for d, b in adj[s]:
+            r = row[out[b]]
+            if r == -1:
+                return False
+            if (d, r) not in seen:
+                seen.add((d, r))
+                stack.append((d, r))
+    return True
 
 
+@memoised
 def image_included(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
     """Is every block of the image of ``x`` a block of ``y``?  On failure
     the witness is the shortest, then lexicographically least, image word
@@ -384,13 +372,11 @@ def image_included(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:
     recoding, for the witness (:func:`graph_missing` on
     :func:`_image_graph`).  Memoised on the rule, so each (rule, domain,
     target) is decided once."""
-    def decide(t: CellularAutomaton) -> Decision:
-        if maps_into(t, x, y):
-            return Decision(True, None, "language")
-        missing = graph_missing(_image_graph(t, x), y.acceptor)
-        return Decision(False, t.target.word_from_ranks(missing), "language",
-                        note="an image word the target lacks")
-    return t.derived(("included", x, y), decide)
+    if maps_into(t, x, y):
+        return Decision(True, None, "language")
+    missing = graph_missing(_image_graph(t, x), y.acceptor)
+    return Decision(False, t.target.word_from_ranks(missing), "language",
+                    note="an image word the target lacks")
 
 
 def is_surjective(t: CellularAutomaton, x: Shift, y: Shift) -> Decision:

@@ -10,8 +10,9 @@ of the requested log-width.  Its ends are binary64 quotients of rounded
 sums, not yet checked exactly, so that interval holds the root up to
 their rounding, not with outward-rounded certainty.
 
-Both routes read the acceptor's memoised column table, word counts as
-one gather per length (:func:`dfa.word_counts`).  The power iteration
+Both routes read the column table the shift owns
+(:attr:`Shift.preimage_cols`), word counts as one gather per length
+(:func:`dfa.word_counts`).  The power iteration
 never forms a matrix: each strongly connected component takes its rows
 of the table as one target array per symbol, with a pad slot holding
 0.0 for moves that are undefined or leave the component, so a sweep is
@@ -38,9 +39,9 @@ import numpy as np
 
 from .dfa import word_counts
 from .errors import CapExceeded, NotMixing, NotSubshift
-from .props import _condensation, _preimage_cols, si_certificate
+from .props import si_certificate
 from .shift import Shift, language_included
-from .base import Decision
+from .base import Decision, memoised
 
 _ITER_CAP = 200_000
 _BATCH = 16  # power sweeps per Collatz-Wielandt test
@@ -102,8 +103,12 @@ def block_counts(x: Shift, n_max: int) -> list[int]:
     caller gets its own list."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return list(x.derived(("block_counts", n_max),
-                          lambda y: word_counts(_preimage_cols(y), n_max)))
+    return list(_block_counts(x, n_max))
+
+
+@memoised
+def _block_counts(x: Shift, n_max: int) -> list[int]:
+    return word_counts(x.preimage_cols, n_max)
 
 
 def entropy_blocks(x: Shift, n_max: int) -> EntropyEstimate:
@@ -216,10 +221,10 @@ def entropy_spectral(x: Shift, tol: float = 1e-9) -> EntropyEstimate:
     tol.  Memoised on ``x`` per ``tol``, which must be at least ``TOL_MIN``."""
     if not tol >= TOL_MIN:
         raise ValueError(f"tol must be >= {TOL_MIN:g}, got {tol!r}")
-    return x.derived(("entropy_spectral", tol),
-                     lambda y: _entropy_spectral(y, tol))
+    return _entropy_spectral(x, tol)
 
 
+@memoised
 def _entropy_spectral(x: Shift, tol: float) -> EntropyEstimate:
     """The count matrix of the acceptor is block triangular over its
     condensation, so its Perron root is the largest over the diagonal
@@ -230,9 +235,9 @@ def _entropy_spectral(x: Shift, tol: float) -> EntropyEstimate:
     the sweeps over all components."""
     if x.is_empty:
         return EntropyEstimate(0.0, "spectral", {"degenerate": "empty"}, 0.0)
-    cols = _preimage_cols(x)
+    cols = x.preimage_cols
     best_lo, best_hi, total_it, best_size = 0.0, 0.0, 0, 0
-    for comp in _condensation(x):
+    for comp in x.condensation:
         if len(comp) == 1:
             loops = int((cols[:, comp[0]] == comp[0]).sum())
             if not loops:

@@ -35,19 +35,17 @@ leads into it, by per-symbol preimage; the rows live in a finite space,
 so they are eventually periodic, and detecting the cycle turns "for all
 N >= N0" into an exact check.
 
-Each invariant is computed once per Shift and memoised on it (see
-:meth:`Memo.derived`): the period of the essential graph when it is
-strongly connected, the acceptor's successor and preimage tables, which
-the passes over its moves read, its condensation (strongly connected
-components, whose sink irreducibility, mixing, the synchronized cover and
-spectral entropy read), the joinability data (backward family and its
-minimal sets), the irreducibility verdict, the synchronized cover, the
-mixing report and the gap certificate.  Every gap question asks which
-states have a word of length k into a set, held as a bool row with a
-False sentinel slot; one more letter (:func:`_orbit`) makes each row the
-union of its per-symbol preimages.  Int bitmasks hold only sets of a
-graph's vertices (the cover diameter's rows, :func:`directed_diameter`)
-and the masks :class:`_Joinability` packs once from the family's rows.
+Each invariant is computed once per Shift (:func:`base.memoised`): the
+period of the essential graph when it is strongly connected, the
+joinability data (backward family and its minimal sets), the
+irreducibility verdict, the synchronized cover, the mixing report and the
+gap certificate; they read the acceptor's tables that the Shift owns.
+Every gap question asks which states have a word of length k into a set,
+held as a bool row with a False sentinel slot; one more letter
+(:func:`_orbit`) makes each row the union of its per-symbol preimages.
+Int bitmasks hold only sets of a graph's vertices (the cover diameter's
+rows, :func:`directed_diameter`) and the masks :class:`_Joinability`
+packs once from the family's rows.
 """
 
 from __future__ import annotations
@@ -57,9 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ConfigurationWindow, Decision, Word
-from .dfa import (backward_subsets, preimage_cols, shortest_sync,
-                  shortest_words)
+from .base import ConfigurationWindow, Decision, Word, memoised
+from .dfa import backward_subsets, shortest_sync, shortest_words
 from .errors import (CapExceeded, EmptyShift, NoSyncWord, NotMixing,
                      SeparationTooSmall, WordNotInLanguage)
 from .graph import (LabeledGraph, directed_diameter,
@@ -148,20 +145,6 @@ class GlueRequest:
 
 # ---------------------------------------------------------------- helpers
 
-def _successors(x: Shift) -> list[list[int]]:
-    """``succ[q]``: the sorted distinct successors of acceptor state q (any
-    symbol); memoised on ``x``."""
-    return x.derived("successors", lambda y: [
-        sorted({t for t in row if t != -1}) for row in y.acceptor.trans])
-
-
-def _condensation(x: Shift) -> list[list[int]]:
-    """Strongly connected components of the acceptor, sinks first (see
-    :func:`strongly_connected_components`); memoised on ``x``."""
-    return x.derived("condensation", lambda y: strongly_connected_components(
-        _successors(y)))
-
-
 def _period_levels(succ, root: int) -> tuple[dict[int, int], int]:
     """Breadth-first levels from ``root`` over the successor lists
     ``succ``, and the gcd of lvl[q] + 1 - lvl[t] over the moves q -> t
@@ -177,24 +160,18 @@ def _period_levels(succ, root: int) -> tuple[dict[int, int], int]:
     return lvl, g
 
 
+@memoised
 def _essential_period(x: Shift) -> int:
     """The period of ``x.essential`` when it is one strongly connected
-    component, else 0; memoised on ``x``.  Also 0, with no pass over the
-    graph, when it has more vertices than the acceptor has states."""
-    def period(y: Shift) -> int:
-        g = y.essential
-        if g.n_vertices > y.acceptor.n_states:
-            return 0
-        succ = [sorted({d for d, _ in row}) for row in g.out_map()]
-        if len(strongly_connected_components(succ)) != 1:
-            return 0
-        return _period_levels(succ, 0)[1]
-    return x.derived("essential_period", period)
-
-
-def _preimage_cols(x: Shift) -> np.ndarray:
-    """:func:`preimage_cols` of the acceptor; memoised on ``x``."""
-    return x.derived("preimage_cols", lambda y: preimage_cols(y.acceptor))
+    component, else 0.  Also 0, with no pass over the graph, when it has
+    more vertices than the acceptor has states."""
+    g = x.essential
+    if g.n_vertices > x.acceptor.n_states:
+        return 0
+    succ = [sorted({d for d, _ in row}) for row in g.out_map()]
+    if len(strongly_connected_components(succ)) != 1:
+        return 0
+    return _period_levels(succ, 0)[1]
 
 
 def _reading_row(cols: np.ndarray, ranks) -> np.ndarray:
@@ -248,15 +225,14 @@ class _Joinability:
     """Per-shift data behind every "does some word join u to v" question.
 
     ``family`` pairs each backward reading set, a bitmask packed once from
-    its row, with its shortest word; ``minimal`` keeps the inclusion-minimal
-    pairs in family order, and ``rows`` their rows.  Every set holds a
-    minimal one, so a mask that meets them all meets every set.
+    its row, with its shortest word.  ``rows`` holds the rows of the
+    inclusion-minimal sets in family order, and ``minimal`` their words.
     """
 
     __slots__ = ("family", "minimal", "rows")
 
     def __init__(self, x: Shift):
-        sets, words = zip(*backward_subsets(_preimage_cols(x)))
+        sets, words = zip(*backward_subsets(x.preimage_cols))
         masks = [int.from_bytes(m.tobytes(), "little") for m in
                  np.packbits(sets, axis=1, bitorder="little")]
         self.family = list(zip(masks, words))
@@ -265,24 +241,23 @@ class _Joinability:
         for r in sorted(masks, key=int.bit_count):
             if all(k & ~r for k in kept):
                 kept.add(r)
-        self.minimal = [(r, v) for r, v in self.family if r in kept]
+        self.minimal = [v for r, v in self.family if r in kept]
         self.rows = np.array([s for s, r in zip(sets, masks) if r in kept])
 
     def miss(self, mask: int) -> tuple[int, ...] | None:
         """Representative word of the first backward set (family order)
-        disjoint from ``mask``, or None when ``mask`` meets every one.
-        Only a mask that misses a minimal set scans the family."""
-        if all(mask & r for r, _ in self.minimal):
-            return None
-        return next(v for r, v in self.family if not mask & r)
+        disjoint from ``mask``, or None when ``mask`` meets every one."""
+        return next((v for r, v in self.family if not mask & r), None)
 
 
+@memoised
 def _joinability(x: Shift) -> _Joinability:
-    return x.derived("joinability", _Joinability)
+    return _Joinability(x)
 
 
 # ------------------------------------------------------------ decisions
 
+@memoised
 def is_irreducible(x: Shift) -> Decision:
     """Can every ordered pair of language words be joined: for all u, v is
     there some w with uwv in the language?
@@ -297,16 +272,12 @@ def is_irreducible(x: Shift) -> Decision:
     sink; every run after u stays in the sink, where no state reads v.
     Memoised on ``x``.
     """
-    return x.derived("irreducible", _irreducible)
-
-
-def _irreducible(x: Shift) -> Decision:
     if x.is_empty:
         return Decision(True, None, "language",
                         note="empty shift: holds vacuously")
     if _essential_period(x):
         return Decision(True, None, "language")
-    comps = _condensation(x)
+    comps = x.condensation
     # a sink of every state meets every (nonempty) backward set
     if len(comps) == 1:
         return Decision(True, None, "language")
@@ -332,7 +303,7 @@ def synchronizing_word(x: Shift) -> SyncWitness:
     one; NoSyncWord reports exhaustion otherwise."""
     if x.is_empty:
         raise NoSyncWord("the empty shift has no automaton to synchronize")
-    cols = _preimage_cols(x)
+    cols = x.preimage_cols
     res = shortest_sync(cols, _reading_row(cols, ()))
     if res is None:
         return _sync_fail(x)
@@ -346,6 +317,7 @@ def _sync_fail(x: Shift):
         f"(irreducible: {is_irreducible(x).verdict})")
 
 
+@memoised
 def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
                                           SyncWitness]:
     """The synchronized cover of an irreducible shift: the sink component
@@ -358,14 +330,10 @@ def synchronized_cover(x: Shift) -> tuple[LabeledGraph, tuple[int, ...],
     nonempty and irreducible.  Memoised on ``x``, so the results are shared
     and immutable.
     """
-    return x.derived("cover", _synchronized_cover)
-
-
-def _synchronized_cover(x: Shift):
     if x.is_empty or not is_irreducible(x).verdict:
         raise NoSyncWord("the synchronized cover needs a nonempty "
                          "irreducible shift")
-    comp, cols = _condensation(x)[0], _preimage_cols(x)
+    comp, cols = x.condensation[0], x.preimage_cols
     res = shortest_sync(cols, np.bincount(comp, minlength=cols.shape[1]) > 0)
     if res is None:
         return _sync_fail(x)
@@ -379,6 +347,7 @@ def _synchronized_cover(x: Shift):
         x.alphabet.word_from_ranks(ranks), q, len(ranks))
 
 
+@memoised
 def is_mixing(x: Shift) -> MixingReport:
     """Irreducible with aperiodic synchronized cover.
 
@@ -392,10 +361,6 @@ def is_mixing(x: Shift) -> MixingReport:
     come from one breadth-first search in the sink, with no sync search
     and no cover graph.  Memoised on ``x``.
     """
-    return x.derived("mixing", _mixing)
-
-
-def _mixing(x: Shift) -> MixingReport:
     if x.is_empty:
         return MixingReport(True, 0, True,
                             note="empty shift: holds vacuously")
@@ -405,9 +370,9 @@ def _mixing(x: Shift) -> MixingReport:
     if not irr.verdict:
         return MixingReport(False, 0, False, witness=irr.witness,
                             note="not irreducible")
-    sink = _condensation(x)[0]
+    sink = x.condensation[0]
     # levels from the sink's least state; no move leaves the sink
-    lvl, g = _period_levels(_successors(x), sink[0])
+    lvl, g = _period_levels(x.successors, sink[0])
     if g == 1:
         return MixingReport(True, 1, True)
     classes: list[list[int]] = [[] for _ in range(g)]
@@ -417,15 +382,12 @@ def _mixing(x: Shift) -> MixingReport:
                         note=f"period {g}")
 
 
+@memoised
 def si_certificate(x: Shift) -> SiCertificate:
     """Uniform-gap certificate from the sync word, its self-gap floor, and
     the cover diameter.  Requires a mixing shift.  Memoised on ``x``.
     The self-gap evolves the sync word's reading row (:func:`_gap_tail`):
     gap k fails iff the state after the sync word drops out of it."""
-    return x.derived("certificate", _certificate)
-
-
-def _certificate(x: Shift) -> SiCertificate:
     if x.is_empty:
         return SiCertificate(SyncWitness(x.alphabet.word(""), None, 0),
                              0, 0, 0, 0, note="empty shift: degenerate")
@@ -438,7 +400,7 @@ def _certificate(x: Shift) -> SiCertificate:
     s = d.state_after(ranks)
     if s == -1:
         raise NoSyncWord("sync word left the language; presentation bug")
-    cols = _preimage_cols(x)
+    cols = x.preimage_cols
     n0, bad = _gap_tail(cols, _reading_row(cols, ranks), s, _GAP_CAP,
                         "gap evolution")
     # the orbit closed within _GAP_CAP steps, so n0 <= _GAP_CAP
@@ -488,13 +450,13 @@ def minimal_gap(x: Shift, search_cap: int = _GAP_CAP) -> int:
     if x.is_empty:
         raise EmptyShift("no uniform gap: the empty shift admits no fills")
     d, j, n = x.acceptor, _joinability(x), x.acceptor.n_states
-    n0, bad = _gap_tail(_preimage_cols(x), j.rows, slice(n),
+    n0, bad = _gap_tail(x.preimage_cols, j.rows, slice(n),
                         4 * search_cap + 64, "joint gap evolution")
     if bad is not None:
         t, rows, period = bad
         missing = ~rows[:, :n]
         s = int(missing.any(axis=0).argmax())
-        v = j.minimal[int(missing[:, s].argmax())][1]
+        v = j.minimal[int(missing[:, s].argmax())]
         u = x.alphabet.word_from_ranks(shortest_words(d.trans)[s])
         raise NotMixing(
             f"no uniform gap: u={u.text!r} cannot reach "
@@ -519,7 +481,7 @@ def gap_witness(x: Shift, u, v, gap: int) -> Word | None:
         raise ValueError("gap must be >= 0")
     u = x.alphabet.word(u)
     v = x.alphabet.word(v)
-    d, cols = x.acceptor, _preimage_cols(x)
+    d, cols = x.acceptor, x.preimage_cols
     s = d.state_after(u.ranks())
     if s == -1:
         raise WordNotInLanguage(f"{u.text!r} is not in the language")

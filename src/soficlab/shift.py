@@ -9,15 +9,12 @@ length L costs at most L vertices, not a vertex per block of the window.
 Construction eagerly builds two canonical objects: an essential
 presentation, and the minimal acceptor of the block language from one
 subset construction (Lind & Marcus, *Symbolic Dynamics and Coding*,
-3.3-3.4); every query runs against these.  Everything else is derived
-and memoised on the instance on first use, see :meth:`Memo.derived`: the
-essential part of the acceptor (the past-determined presentation the map
-layer reads on every domain), the period of the essential presentation
-when it is strongly connected, which decides irreducibility and mixing
-without the acceptor, the acceptor's successor table, column table and
-condensation, whose sink component decides them otherwise, the backward
-family, the irreducibility verdict, synchronized cover, mixing report,
-gap certificate, block counts and spectral entropy.
+3.3-3.4); every query runs against these.  The shift owns the tables
+derived from the acceptor, each built once on first use
+(:func:`base.memoised`, which memoises every other invariant of a shift
+too): its essential part as a graph (:attr:`Shift.deterministic`, the
+past-determined presentation the map layer reads on every domain), its
+successor lists, its condensation and its column table.
 """
 
 from __future__ import annotations
@@ -25,10 +22,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dfa as _dfa
-from .base import Alphabet, CellularAutomaton, Decision, Memo, Word
+from .base import Alphabet, CellularAutomaton, Decision, Word, memoised
 from .errors import AlphabetMismatch, EmptyShift
-from .graph import LabeledGraph, essentialize, follower_reduce, path_graph
+from .graph import (LabeledGraph, essentialize, follower_reduce, path_graph,
+                    strongly_connected_components)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def _forbidden_matcher(bad: list[tuple[int, ...]], na: int
     return move, term
 
 
-class Shift(Memo):
+class Shift:
     """A subshift over the integers, canonicalized at construction.
 
     Attributes
@@ -123,11 +123,13 @@ class Shift(Memo):
         empty word.
 
     ``essential`` and ``acceptor`` are built at construction; everything
-    else, :attr:`deterministic` included, is derived and memoised on first
-    use (:meth:`derived`).  Irreducibility and mixing read ``essential``
-    first, when it is strongly connected and no larger than the acceptor;
-    the other invariants read the acceptor's table directly, and only
-    :attr:`deterministic` makes a graph of it.
+    else is derived and memoised on first use (:func:`base.memoised`),
+    the acceptor's tables included: :attr:`deterministic`,
+    :attr:`successors`, :attr:`condensation` and :attr:`preimage_cols`.
+    Irreducibility and mixing read ``essential`` first, when it is
+    strongly connected and no larger than the acceptor; the other
+    invariants read the acceptor's tables, and only :attr:`deterministic`
+    makes a graph of it.
     """
 
     __slots__ = ("alphabet", "kind", "origin", "essential", "acceptor",
@@ -175,10 +177,10 @@ class Shift(Memo):
         return cls(g, "sofic", g)
 
     @property
+    @memoised
     def deterministic(self) -> LabeledGraph:
-        """Essential part of the acceptor as a graph, memoised (empty for the
-        empty shift): the presentation the pair graph reads on every
-        domain.
+        """Essential part of the acceptor as a graph (empty for the empty
+        shift): the presentation the pair graph reads on every domain.
 
         A right-resolving, follower-separated presentation whose paths are
         determined by the past: the acceptor reads the whole language from
@@ -190,8 +192,28 @@ class Shift(Memo):
         than the follower reduction of an essential graph: the even shift's
         has a third state, reached by the past 1^inf, whose parity is open.
         """
-        return self.derived("deterministic", lambda x: essentialize(
-            _dfa.to_graph(x.acceptor))[0])
+        return essentialize(_dfa.to_graph(self.acceptor))[0]
+
+    @property
+    @memoised
+    def successors(self) -> list[list[int]]:
+        """``successors[q]``: the sorted distinct successors of acceptor
+        state q, by any symbol."""
+        return [sorted({t for t in row if t != -1})
+                for row in self.acceptor.trans]
+
+    @property
+    @memoised
+    def condensation(self) -> list[list[int]]:
+        """Strongly connected components of the acceptor, sinks first (see
+        :func:`strongly_connected_components`)."""
+        return strongly_connected_components(self.successors)
+
+    @property
+    @memoised
+    def preimage_cols(self) -> np.ndarray:
+        """The acceptor's column table, :func:`dfa.preimage_cols`."""
+        return _dfa.preimage_cols(self.acceptor)
 
     @property
     def is_empty(self) -> bool:

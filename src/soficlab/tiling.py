@@ -20,7 +20,7 @@ from .base import Word
 from .entropy import block_counts
 from .errors import (CertificateMissing, EmptyShift, NotMixing,
                      WindowTooSmall, WordNotInLanguage)
-from .props import _preimage_cols, si_certificate
+from .props import si_certificate
 from .shift import Shift
 
 
@@ -136,8 +136,9 @@ def pattern_exclusion_bound(x: Shift, d: int, n: int,
     copies stay disjoint and inside [0, n).  With rho = |L_{|E|}|, the
     words avoiding ``pattern`` on every tile number at most
     (1 - 1/rho)^{#tiles} of all length-n words; the check is exact:
-    q * rho^t <= (rho-1)^t * c_n over the integers.  Raises EmptyShift on
-    the empty shift, WordNotInLanguage for a pattern outside L_d(x).
+    q * rho^t <= (rho-1)^t * c_n over the integers.  The pattern defaults
+    to the lexicographically greatest word of length d.  Raises EmptyShift
+    on the empty shift, WordNotInLanguage for a pattern outside L_d(x).
     """
     if d < 1:
         raise ValueError("pattern length d must be >= 1")
@@ -148,7 +149,13 @@ def pattern_exclusion_bound(x: Shift, d: int, n: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     if pattern is None:
-        pattern = max(x.blocks(d), key=lambda w: w.ranks())
+        # from state 0, the greatest symbol with a defined move, d times:
+        # every acceptor state of an extendable language reads on
+        cols, q, ranks = x.preimage_cols, 0, []
+        for _ in range(d):
+            ranks.append(np.flatnonzero(cols[:, q] < cols.shape[1] - 1)[-1])
+            q = cols[ranks[-1], q]
+        pattern = x.alphabet.word_from_ranks(ranks)
     else:
         pattern = x.alphabet.word(pattern)
         if len(pattern) != d or not x.contains_word(pattern):
@@ -179,7 +186,7 @@ def _count_avoiding(x: Shift, n: int, tiles: tuple[int, ...],
     the words reading the pattern go: q reads it to ``read[q]``, and the
     words going on from there were counted at the tile's end, g + d.
     """
-    d, cols = len(pattern), _preimage_cols(x)
+    d, cols = len(pattern), x.preimage_cols
     read = np.arange(cols.shape[1])
     for a in pattern.ranks():
         read = cols[a][read]

@@ -415,6 +415,19 @@ class TestPatternExclusion:
         assert rep.q_count * rep.rho ** 12 == (rep.rho - 1) ** 12 * rep.total_count
         assert rep.holds
 
+    def test_default_pattern_enumerates_no_words(self, monkeypatch, full2):
+        # the greatest word is walked from state 0, not picked out of the
+        # 2**40 words of length 40; q = (2**40 - 1)**2 on the two tiles
+        import soficlab.dfa as dfa
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated the words of length d")
+
+        monkeypatch.setattr(dfa, "enumerate_ranks", refuse)
+        rep = pattern_exclusion_bound(full2, 40, 80)
+        assert rep.pattern.text == "1" * 40 and rep.tiles == (0, 40)
+        assert (rep.q_count, rep.total_count) == ((2 ** 40 - 1) ** 2, 2 ** 80)
+
     def test_explicit_pattern(self, golden):
         rep = pattern_exclusion_bound(golden, 2, 24, pattern="10")
         assert rep.pattern.text == "10"

@@ -31,7 +31,8 @@ from soficlab.graph import (core_vertices, directed_diameter, essentialize,
                             refine_classes)
 from soficlab.props import _Joinability
 from soficlab.shift import SftSpec
-from soficlab.tiling import _count_avoiding, _tile_starts
+from soficlab.tiling import (_count_avoiding, _tile_starts,
+                             pattern_exclusion_bound)
 
 from oracles import (NOT_MIXING, _sft_steps, backward_family,
                      common_extension, core_by_two_sided_peel,
@@ -135,6 +136,13 @@ class TestOriginOracle:
                     if all(w[g:g + d] != pattern for g in tiles)]
         assert _count_avoiding(x, n, tiles, x.alphabet.word_from_ranks(
             pattern)) == len(avoiding)
+
+    @given(shifts.filter(lambda x: not x.is_empty and is_mixing(x).mixing),
+           st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_default_pattern_is_greatest_word(self, x, d):
+        rep = pattern_exclusion_bound(x, d, 0)
+        assert rep.pattern.ranks() == origin_blocks(x, d)[-1]
 
     @given(shifts)
     @settings(max_examples=60, deadline=None)

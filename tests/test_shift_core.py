@@ -194,3 +194,59 @@ class TestAcceptorCanonicity:
         assert even.acceptor.n_states == 3
         # all three are essential: the fresh state loops on 1
         assert even.deterministic.n_vertices == 3
+
+
+class TestMemoised:
+    """``base.memoised`` computes once per object and positional arguments,
+    and a compute that raises caches nothing."""
+
+    @staticmethod
+    def _counted(calls):
+        from soficlab.base import memoised
+
+        @memoised
+        def derive(x, n):
+            calls.append(n)
+            if n < 0:
+                raise ValueError("negative")
+            return [n]
+        return derive
+
+    def test_computed_once(self):
+        calls = []
+        derive = self._counted(calls)
+        x = Shift.from_forbidden(BITS, ("11",))
+        first = derive(x, 3)
+        assert derive(x, 3) is first and first == [3]
+        assert calls == [3]
+
+    def test_arguments_and_shifts_do_not_share(self):
+        calls = []
+        derive = self._counted(calls)
+        g = LabeledGraph(BITS, 1, ((0, 0, 0), (0, 0, 1)))
+        x, y = Shift.from_graph(g), Shift.from_graph(g)
+        assert derive(x, 1) is not derive(x, 2)
+        assert derive(x, 1) is not derive(y, 1)
+        assert calls == [1, 2, 1]
+
+    def test_functions_do_not_share(self):
+        calls = []
+        one, other = self._counted(calls), self._counted(calls)
+        x = Shift.from_forbidden(BITS, ())
+        assert one(x, 1) is not other(x, 1)
+        assert calls == [1, 1]
+
+    def test_raise_caches_nothing(self):
+        calls = []
+        derive = self._counted(calls)
+        x = Shift.from_forbidden(BITS, ())
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                derive(x, -1)
+        assert calls == [-1, -1]
+
+    def test_acceptor_tables_are_shared(self):
+        x = Shift.from_forbidden(BITS, ("11",))
+        for name in ("deterministic", "successors", "condensation",
+                     "preimage_cols"):
+            assert getattr(x, name) is getattr(x, name), name

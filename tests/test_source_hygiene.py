@@ -1,7 +1,8 @@
 """Source hygiene without a linter: every module-level import of a package
 module is used in it, every module-level private function is referenced
-somewhere in the package, and every public function, method and property
-is referenced somewhere in the package, its tests or its demos."""
+somewhere in the package, every public function, method and property
+is referenced somewhere in the package, its tests or its demos, and
+derived results are memoised through ``base.memoised`` alone."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,22 @@ def test_public_functions_are_referenced():
                if not fn.startswith("_") and fn not in referenced
                and label not in _HOOKS]
     assert not orphans, orphans
+
+
+def test_memo_store_is_read_by_memoised_alone():
+    # no module calls a ``.derived`` method, and only base.py, where
+    # ``memoised`` lives, reads an object's ``_derived`` dict (a shift's
+    # constructor stores it)
+    calls, loads = [], []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "derived":
+                calls.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and \
+                    node.attr == "_derived" and \
+                    isinstance(node.ctx, ast.Load) and name != "base.py":
+                loads.append(f"{name}:{node.lineno}")
+    assert not calls, calls
+    assert not loads, loads
